@@ -49,7 +49,6 @@ from .stego import (
     embed,
     extract,
     inverse_permutation,
-    keystream_permutation,
     rank_subset,
     unrank_subset,
 )

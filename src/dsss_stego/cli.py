@@ -1,13 +1,17 @@
 """Command-line front end: stats | analytic | simulate | sweep | encode | decode.
 
-Exit codes: 0 success, 2 usage error, 3 data/format error.  All numeric
-output uses scientific notation with 10 significant digits; every command
-is deterministic given explicit seeds.
+Exit codes: 0 success, 2 usage error (options are range-checked while
+parsing), 3 data error: a malformed chip file, a payload over capacity or
+a missing input file.  Any other exception is a bug and is not caught.
+All numeric output uses scientific notation with 10 significant digits;
+every command is deterministic given explicit seeds.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -43,53 +47,52 @@ def _parse_key(text: str) -> StegoKey:
         raise argparse.ArgumentTypeError(str(exc))
 
 
-def _parse_rate(text: str) -> float:
-    try:
-        v = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a number: {text!r}")
-    if not 0.0 <= v <= 1.0:
-        raise argparse.ArgumentTypeError(f"embed rate must be in [0, 1]: {text!r}")
-    return v
+def _bounded(cast, name: str, low: float, high: float = math.inf):
+    """argparse type: a finite `cast` value in [low, high], else a usage error."""
+
+    def parse(text: str):
+        try:
+            v = cast(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not a number: {text!r}")
+        if not (low <= v <= high and (cast is int or math.isfinite(v))):
+            raise argparse.ArgumentTypeError(f"{name} must be in [{low}, {high}]: {text!r}")
+        return v
+
+    return parse
 
 
-def _parse_p_chip(text: str) -> float:
-    try:
-        v = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a number: {text!r}")
-    if not 0.0 <= v <= 0.5:
-        raise argparse.ArgumentTypeError(f"p-chip must be in [0, 0.5]: {text!r}")
-    return v
+_parse_rate = _bounded(float, "embed rate", 0.0, 1.0)
+_parse_p_chip = _bounded(float, "p-chip", 0.0, 0.5)
+_parse_snr_db = _bounded(float, "snr-db", -300.0, 300.0)  # 10^(snr/10) stays a normal float
+_parse_count = _bounded(int, "count", 1)
 
 
-def _parse_float_list(text: str) -> list[float]:
-    """Comma list ("0,4,8") or inclusive range ("start:stop:step")."""
-    values: list[float] = []
-    if ":" in text:
+def _float_list(parse_one):
+    """argparse type: comma list ("0,4,8") or inclusive range ("start:stop:step")."""
+
+    def parse(text: str) -> list[float]:
+        if ":" not in text:
+            return [parse_one(token.strip()) for token in text.split(",")]
         parts = text.split(":")
         if len(parts) != 3:
             raise argparse.ArgumentTypeError(f"range needs start:stop:step: {text!r}")
-        try:
-            start, stop, step = (float(p) for p in parts)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"bad range token in {text!r}")
-        if step <= 0:
-            raise argparse.ArgumentTypeError(f"range step must be positive: {text!r}")
+        start, stop = parse_one(parts[0]), parse_one(parts[1])
+        step = _bounded(float, "range step", 1e-9)(parts[2])
+        values: list[float] = []
         k = 0
         while start + k * step <= stop + 1e-12:
             values.append(round(start + k * step, 12))
             k += 1
-    else:
-        for token in text.split(","):
-            token = token.strip()
-            try:
-                values.append(float(token))
-            except ValueError:
-                raise argparse.ArgumentTypeError(f"bad value {token!r} in list {text!r}")
-    if not values:
-        raise argparse.ArgumentTypeError(f"empty list: {text!r}")
-    return values
+        if not values:
+            raise argparse.ArgumentTypeError(f"empty range: {text!r}")
+        return values
+
+    return parse
+
+
+_parse_snr_list = _float_list(_parse_snr_db)
+_parse_rate_list = _float_list(_parse_rate)
 
 
 @dataclass(frozen=True)
@@ -220,6 +223,7 @@ def _cmd_decode(args) -> int:
     return 0
 
 
+@functools.lru_cache(maxsize=1)  # argparse parsers are reusable; building one is costly
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dsss-stego",
@@ -232,28 +236,28 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_stats)
 
     p = sub.add_parser("analytic", help="emit BER and sensitivity-shift curves as CSV")
-    p.add_argument("--snr-db", type=_parse_float_list, default=_parse_float_list("-10:10:0.5"))
-    p.add_argument("--embed-rate", type=_parse_float_list, default=[0.0, 0.25, 0.5, 0.75, 1.0])
+    p.add_argument("--snr-db", type=_parse_snr_list, default=_parse_snr_list("-10:10:0.5"))
+    p.add_argument("--embed-rate", type=_parse_rate_list, default=[0.0, 0.25, 0.5, 0.75, 1.0])
     p.add_argument("--pm-mode", choices=("diff", "ratio"), default="diff")
-    p.add_argument("--embed-chips", type=int, default=5)
+    p.add_argument("--embed-chips", type=_bounded(int, "embed chips", 0, 5), default=5)
     p.add_argument("--out", default="-")
     p.set_defaults(func=_cmd_analytic)
 
     p = sub.add_parser("simulate", help="one Monte Carlo run, flat key=value report")
-    p.add_argument("--symbols", type=int, required=True)
+    p.add_argument("--symbols", type=_parse_count, required=True)
     noise = p.add_mutually_exclusive_group(required=True)
     noise.add_argument("--p-chip", type=_parse_p_chip)
-    noise.add_argument("--snr-db", type=float)
+    noise.add_argument("--snr-db", type=_parse_snr_db)
     p.add_argument("--embed-rate", type=_parse_rate, default=0.0)
     p.add_argument("--key", type=_parse_key, default=StegoKey.from_hex("ACE1"))
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_bounded(int, "seed", 0), default=0)
     p.add_argument("--out", default="-")
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("sweep", help="Monte Carlo grid over SNR and embedding rate")
-    p.add_argument("--snr-db", type=_parse_float_list, required=True)
-    p.add_argument("--embed-rate", type=_parse_float_list, required=True)
-    p.add_argument("--symbols-per-point", type=int, required=True)
+    p.add_argument("--snr-db", type=_parse_snr_list, required=True)
+    p.add_argument("--embed-rate", type=_parse_rate_list, required=True)
+    p.add_argument("--symbols-per-point", type=_parse_count, required=True)
     p.add_argument("--key", type=_parse_key, default=StegoKey.from_hex("ACE1"))
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default="-")
@@ -286,13 +290,7 @@ def main(argv: list[str] | None = None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.func(args)
-    except (ChipStreamFormatError, CapacityError, FramingError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except ValueError as exc:
+    except (ChipStreamFormatError, CapacityError, FramingError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

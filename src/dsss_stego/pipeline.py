@@ -15,13 +15,14 @@ import numpy as np
 from .channel import GENERATOR_ID, ChannelParams, make_rng, transmit_stream
 from .chipmap import CHIPS_PER_SYMBOL, code_matrix
 from .stego import (
+    PATTERN_WEIGHT,
     SCHEDULE_TAPS,
-    KeySchedule,
-    Lfsr,
     StegoKey,
     _expand_key,
     build_codebook,
-    inverse_permutation,
+    key_registers,
+    lfsr_bits,
+    permutation_stream,
 )
 
 _BITS_PER_SYMBOL = 4
@@ -60,10 +61,8 @@ def embedding_schedule(key: StegoKey, embed_rate: float, num_symbols: int) -> np
         return np.zeros(num_symbols, dtype=bool)
     if embed_rate == 1.0:
         return np.ones(num_symbols, dtype=bool)
-    lfsr = Lfsr(_expand_key(key.seed), SCHEDULE_TAPS)
-    draws = np.fromiter(
-        (lfsr.next_uint(16) for _ in range(num_symbols)), dtype=np.uint32, count=num_symbols
-    )
+    bits = lfsr_bits(_expand_key(key.seed), SCHEDULE_TAPS, 16 * num_symbols)
+    draws = bits.reshape(num_symbols, 16) @ (1 << np.arange(15, -1, -1, dtype=np.uint32))
     return (draws / 65536.0) < embed_rate
 
 
@@ -136,12 +135,9 @@ def encode_stream(
     padded = np.zeros(-(-stego_bits.size // 4) * 4, dtype=np.uint8)
     padded[: stego_bits.size] = stego_bits
     stego_symbols = bits_to_symbols(padded)
-    book = build_codebook()
-    sched = KeySchedule(key)
-    for e, slot in zip(stego_symbols, slots):
-        perm = sched.permutation(int(slot))
-        for p in book.patterns[e]:
-            chips[slot, perm[p]] ^= 1
+    rows = slots[: stego_symbols.size]
+    perms, _, _ = permutation_stream(*key_registers(key), int(rows[-1]) + 1)
+    chips[rows[:, None], perms[rows]] ^= build_codebook().indicator[stego_symbols]
     return chips
 
 
@@ -161,24 +157,16 @@ def decode_stream(chips: np.ndarray, key: StegoKey, embed_rate: float) -> Decode
     slot_indices = np.nonzero(schedule)[0]
     if slot_indices.size == 0:
         return DecodedStream(data_bits, np.zeros(0, dtype=np.uint8), [])
-    codes = code_matrix()
-    book = build_codebook()
-    sched = KeySchedule(key)
-    stego_symbols = np.empty(slot_indices.size, dtype=np.uint8)
-    diagnostics: list[SlotDiagnostic] = []
-    for k, slot in enumerate(slot_indices):
-        perm = sched.permutation(int(slot))
-        inv = inverse_permutation(perm)
-        diff = np.nonzero(matrix[slot] ^ codes[decoded_symbols[slot]])[0]
-        positions = frozenset(inv[p] for p in diff)
-        symbol = book.symbol_for(positions)
-        if symbol is not None:
-            exact = True
-        else:
-            symbol, _ = book.nearest_symbol(positions)
-            exact = False
-        stego_symbols[k] = symbol
-        diagnostics.append(SlotDiagnostic(int(slot), exact, len(positions)))
+    perms, _, _ = permutation_stream(*key_registers(key), int(slot_indices[-1]) + 1)
+    diff = matrix[slot_indices] ^ code_matrix()[decoded_symbols[slot_indices]]
+    weight = diff.sum(axis=1, dtype=np.int32)
+    # diff bit at chip perm[p] is codebook position p; distance is the
+    # symmetric difference |diff| + 5 - 2 * overlap with each pattern
+    overlap = np.take_along_axis(diff, perms[slot_indices], axis=1) @ build_codebook().indicator.T
+    dist = weight[:, None] + PATTERN_WEIGHT - 2 * overlap.astype(np.int32)
+    stego_symbols = dist.argmin(axis=1).astype(np.uint8)  # ties go to the lowest symbol
+    exact = dist.min(axis=1) == 0
+    diagnostics = list(map(SlotDiagnostic, slot_indices.tolist(), exact.tolist(), weight.tolist()))
     return DecodedStream(data_bits, symbols_to_bits(stego_symbols), diagnostics)
 
 

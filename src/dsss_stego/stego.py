@@ -12,6 +12,13 @@ pair of accepted patterns at symmetric difference >= 6 so that a single
 post-embedding chip error can never turn one valid pattern into another.
 Per-symbol scrambling permutes the 32 chip positions with a Fisher-Yates
 shuffle driven by a keyed LFSR bit stream.
+
+The keystream is made in bulk, bit-exact with stepping the registers one
+bit at a time: f(z)^(2^k) = f(z^(2^k)) over GF(2) lets numpy produce 2^k
+register bits per step (``lfsr_bits``).  A register's state is the next
+32 bits of its output stream, so a stream continues exactly from saved
+states.  One lean walk reads the rejection-sampled Fisher-Yates draws
+off 5-bit stream windows; the swaps then run over all symbols at once.
 """
 
 from __future__ import annotations
@@ -21,13 +28,9 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
-from .chipmap import (
-    CHIPS_PER_SYMBOL,
-    ChipSequence,
-    CodeSet,
-    decode_chips,
-    standard_code_set,
-)
+import numpy as np
+
+from .chipmap import CHIPS_PER_SYMBOL, ChipSequence, decode_chips, standard_code_set
 
 PATTERN_WEIGHT = 5          # = floor((d_min - 1) / 2) for d_min = 12
 MIN_PATTERN_SEPARATION = 6  # symmetric-difference floor between patterns
@@ -93,30 +96,14 @@ class StegoCodebook:
     patterns: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "_index", {frozenset(p): i for i, p in enumerate(self.patterns)}
-        )
-
-    def symbol_for(self, positions: frozenset[int]) -> int | None:
-        """Covert symbol for an exact pattern match, else None."""
-        return self._index.get(positions)
-
-    def nearest_symbol(self, positions: frozenset[int]) -> tuple[int, int]:
-        """(symbol, symmetric difference) of the closest pattern; ties go low."""
-        best_sym = 0
-        best_d = CHIPS_PER_SYMBOL + PATTERN_WEIGHT
-        for sym, pat in enumerate(self.patterns):
-            d = len(positions.symmetric_difference(pat))
-            if d < best_d:
-                best_sym = sym
-                best_d = d
-        return best_sym, best_d
+        # the patterns as 32-bit position masks and as (16, 32) 0/1 rows
+        masks = tuple(sum(1 << p for p in pat) for pat in self.patterns)
+        indicator = (np.array(masks)[:, None] >> np.arange(CHIPS_PER_SYMBOL)) & 1
+        object.__setattr__(self, "masks", masks)
+        object.__setattr__(self, "indicator", indicator.astype(np.uint8))
 
     def min_pairwise_distance(self) -> int:
-        sets = [frozenset(p) for p in self.patterns]
-        return min(
-            len(a ^ b) for i, a in enumerate(sets) for b in sets[i + 1 :]
-        )
+        return min((a ^ b).bit_count() for i, a in enumerate(self.masks) for b in self.masks[:i])
 
 
 @functools.lru_cache(maxsize=1)
@@ -168,139 +155,177 @@ def _expand_key(seed: int) -> int:
     return ((seed & 0xFFFF) << 16) | (seed ^ 0xFFFF)
 
 
-class Lfsr:
-    """Fibonacci LFSR over a 32-bit register, shifting right.
+def key_registers(key: StegoKey) -> tuple[int, int]:
+    """Seed states of the two permutation-stream registers."""
+    seed_a = _expand_key(key.seed)
+    return seed_a, (~seed_a) & 0xFFFFFFFF  # nonzero: seed_a is never all-ones
 
-    The output bit is the one shifted out; feedback is the parity of the
-    tapped bits.  With primitive taps the register walks all 2^32 - 1
-    nonzero states, so it can never reach zero from a nonzero seed.
+
+_INT_STRIDE, _MAX_STRIDE = 256, 1 << 14  # strides up to 256 run on a Python int
+
+
+def lfsr_bits(seed: int, taps: tuple[int, ...], count: int) -> np.ndarray:
+    """First `count` output bits (uint8 0/1) of a register seeded with `seed`.
+
+    The 32-bit register shifts right, outputs its low bit and feeds back the
+    parity of the tapped bits, so the stream x starts with the seed bits,
+    LSB first, and x[n + 32] = XOR of x[n + m] for m = 32 - t over the taps.
+    Its state at stream position p is x[p:p + 32].  As f(z)^(2^k) = f(z^(2^k))
+    over GF(2), x[n + 32L] = XOR of x[n + mL] for every stride L = 2^k, so
+    one step makes L bits from the 32L before them.
     """
-
-    __slots__ = ("state", "_mask")
-
-    def __init__(self, seed: int, taps: tuple[int, ...] = PRIMARY_TAPS):
-        if seed == 0:
-            raise ValueError("LFSR seed must be nonzero")
-        self.state = seed & 0xFFFFFFFF
-        mask = 0
-        for t in taps:
-            mask |= 1 << (32 - t)
-        self._mask = mask
-
-    def next_bit(self) -> int:
-        s = self.state
-        out = s & 1
-        self.state = (s >> 1) | (((s & self._mask).bit_count() & 1) << 31)
-        return out
-
-    def next_uint(self, nbits: int) -> int:
-        s = self.state
-        m = self._mask
-        v = 0
-        for _ in range(nbits):
-            v = (v << 1) | (s & 1)
-            s = (s >> 1) | (((s & m).bit_count() & 1) << 31)
-        self.state = s
-        return v
+    if not 0 < seed < 1 << 32:
+        raise ValueError(f"LFSR seed must be a nonzero 32-bit value, got {seed}")
+    lags = [32 - t for t in taps]
+    x, n, stride, head_bits = seed, 32, 1, min(count, 64 * _INT_STRIDE)
+    while n < head_bits:
+        stride *= 2 if n >= 64 * stride else 1
+        window, new = x >> (n - 32 * stride), 0
+        for m in lags:
+            new ^= window >> (m * stride)
+        x |= (new & ((1 << stride) - 1)) << n
+        n += stride
+    bits = np.empty(max(n, count) + _MAX_STRIDE + 8, dtype=np.uint8)
+    head = np.frombuffer(x.to_bytes((n + 7) // 8, "little"), dtype=np.uint8)
+    bits[: 8 * head.size] = np.unpackbits(head, bitorder="little")
+    while n < count:
+        stride *= 2 if n >= 64 * stride and stride < _MAX_STRIDE else 1
+        base = n - 32 * stride
+        first, second, *rest = [bits[base + m * stride :][:stride] for m in lags]
+        out = np.bitwise_xor(first, second, out=bits[n : n + stride])
+        for taps_at in rest:
+            out ^= taps_at
+        n += stride
+    return bits[:count]
 
 
-class LfsrPair:
-    """Two registers with distinct primitive polynomials, stepped in
-    lockstep; the keystream is the XOR of their output bits (a classic
-    combination generator).  Both registers stay nonzero forever."""
-
-    __slots__ = ("a", "b", "_mask_a", "_mask_b")
-
-    def __init__(self, seed_a: int, seed_b: int):
-        if seed_a == 0 or seed_b == 0:
-            raise ValueError("LFSR seeds must be nonzero")
-        self.a = seed_a & 0xFFFFFFFF
-        self.b = seed_b & 0xFFFFFFFF
-        mask_a = mask_b = 0
-        for t in PRIMARY_TAPS:
-            mask_a |= 1 << (32 - t)
-        for t in SECONDARY_TAPS:
-            mask_b |= 1 << (32 - t)
-        self._mask_a = mask_a
-        self._mask_b = mask_b
-
-    def next_uint(self, nbits: int) -> int:
-        a = self.a
-        b = self.b
-        ma = self._mask_a
-        mb = self._mask_b
-        v = 0
-        for _ in range(nbits):
-            v = (v << 1) | ((a ^ b) & 1)
-            a = (a >> 1) | (((a & ma).bit_count() & 1) << 31)
-            b = (b >> 1) | (((b & mb).bit_count() & 1) << 31)
-        self.a = a
-        self.b = b
-        return v
+def _state_at(bits: np.ndarray, pos: int) -> int:
+    """The register state at stream position `pos`: the next 32 bits, LSB first."""
+    return int.from_bytes(np.packbits(bits[pos : pos + 32], bitorder="little").tobytes(), "little")
 
 
-def _fisher_yates(stream: Lfsr | LfsrPair) -> tuple[int, ...]:
-    # Draw indices by rejection sampling, so there is no modulo bias.
-    perm = list(range(CHIPS_PER_SYMBOL))
-    draw = stream.next_uint
-    for i in range(CHIPS_PER_SYMBOL - 1, 0, -1):
-        nb = i.bit_length()
-        j = draw(nb)
+# (bound i, window shift, draw width) of each Fisher-Yates swap, i = 31..1
+_DRAWS = tuple((i, 5 - i.bit_length(), i.bit_length()) for i in range(CHIPS_PER_SYMBOL - 1, 0, -1))
+_MEAN_BITS = 172        # keystream bits one permutation uses on average (171.8)
+_CHUNK = 4096           # permutations walked per stretch of generated stream
+
+
+def _permute(windows: memoryview, append) -> int:
+    """Append one permutation's 31 accepted draws and return the bits it used:
+    windows[p] holds stream bits p..p+4, MSB first, a w-bit draw is its top w
+    bits, and a draw above its bound is rejected (no modulo bias)."""
+    pos = 0
+    for i, shift, width in _DRAWS:
+        j = windows[pos] >> shift
+        pos += width
         while j > i:
-            j = draw(nb)
-        perm[i], perm[j] = perm[j], perm[i]
-    return tuple(perm)
+            j = windows[pos] >> shift
+            pos += width
+        append(j)
+    return pos
+
+
+def _walk(windows: memoryview, draws: bytearray, count: int, segment: int) -> tuple[int, int]:
+    """Draws of up to `count` permutations, each from at most `segment` windows (small
+    positions stay cached ints): returns how many fit and the stream position after them."""
+    start = 0
+    for done in range(count):
+        mark = len(draws)
+        try:
+            start += _permute(windows[start : start + segment], draws.append)
+        except IndexError:  # past the segment or the windows: drop a partial one
+            del draws[mark:]
+            return done, start
+    return count, start
+
+
+def _shuffle(draws: np.ndarray) -> np.ndarray:
+    """Fisher-Yates swaps of all rows at once: column c swaps 31 - c with its draw."""
+    perms = np.tile(np.arange(CHIPS_PER_SYMBOL, dtype=np.uint8), (len(draws), 1))
+    rows = np.arange(len(draws))
+    for col, (i, _, _) in enumerate(_DRAWS):
+        j = draws[:, col]
+        picked = perms[rows, j]
+        perms[rows, j] = perms[:, i]
+        perms[:, i] = picked
+    return perms
+
+
+def permutation_stream(state_a: int, state_b: int, count: int) -> tuple[np.ndarray, int, int]:
+    """The next `count` keyed permutations and the register states after them.
+
+    The keystream is the primary register's stream XOR the secondary's.
+    Row k of the (count, 32) uint8 result maps codebook position p to chip
+    row[p].  The stream is made a stretch at a time, each continued from
+    the states after the last whole permutation of the one before; one
+    that falls short doubles the slack (and segment) of the next.
+    """
+    draws = bytearray()
+    done, slack = 0, 512
+    while done < count:
+        todo = min(count - done, _CHUNK)
+        size = todo * (_MEAN_BITS + 8) + slack
+        keystream = lfsr_bits(state_a, PRIMARY_TAPS, size)
+        b = lfsr_bits(state_b, SECONDARY_TAPS, size)
+        keystream ^= b
+        m = size - 36  # a walk ends by m + 4, leaving a whole state after it
+        windows = keystream[:m].copy()
+        for k in range(1, 5):
+            windows <<= 1
+            windows |= keystream[k : m + k]
+        walked, pos = _walk(memoryview(windows), draws, todo, slack)
+        slack *= 1 if walked == todo else 2
+        done += walked
+        state_b = _state_at(b, pos)
+        state_a = _state_at(keystream, pos) ^ state_b
+    perms = _shuffle(np.frombuffer(draws, dtype=np.uint8).reshape(count, len(_DRAWS)))
+    return perms, state_a, state_b
 
 
 class KeySchedule:
-    """Sequential cursor over the keyed permutation stream.
+    """Cursor over the keyed permutation stream (key rotation: symbol i's
+    permutation continues the keystream where permutations 0..i-1 left it).
 
-    The permutation for symbol i is generated from the keystream state
-    left behind by permutations 0..i-1 (key rotation: the stream
-    continues across symbols).  A schedule instance caches the state at
-    each symbol boundary, so sequential access is O(1) amortized and
-    random access replays only once.  Do not share one instance between
-    concurrent encoders; independent instances with the same key are
-    equivalent.
+    It keeps only the last BLOCK permutations and the register states after
+    them, so its memory does not grow with the stream.  Forward access
+    generates up to the index in steps doubling up to BLOCK; access before
+    the block replays from symbol 0.  Do not share one instance between
+    concurrent encoders; instances with the same key are equivalent.
     """
+
+    BLOCK = 1024
 
     def __init__(self, key: StegoKey):
         self.key = key
-        seed_a = _expand_key(key.seed)
-        seed_b = (~seed_a) & 0xFFFFFFFF  # nonzero: seed_a is never all-ones
-        self._pair = LfsrPair(seed_a, seed_b)
-        self._starts = [(seed_a, seed_b)]
+        self._rewind()
+
+    def _rewind(self) -> None:
+        self._start = 0
+        self._block = np.empty((0, CHIPS_PER_SYMBOL), dtype=np.uint8)
+        self._states = key_registers(self.key)
 
     @property
     def lfsr_state(self) -> int:
-        """Both register states packed into one value; never zero."""
-        return (self._pair.a << 32) | self._pair.b
+        """Both register states after the generated symbols, packed; never zero."""
+        return (self._states[0] << 32) | self._states[1]
 
     @property
     def symbol_counter(self) -> int:
         """Number of symbols whose permutations have been generated."""
-        return len(self._starts) - 1
-
-    def _restore(self, state: tuple[int, int]) -> None:
-        self._pair.a, self._pair.b = state
+        return self._start + len(self._block)
 
     def permutation(self, symbol_index: int) -> tuple[int, ...]:
         """Bijection on {0..31} for the given stream position."""
         if symbol_index < 0:
             raise ValueError(f"symbol_index must be >= 0, got {symbol_index}")
-        while len(self._starts) <= symbol_index:
-            self._restore(self._starts[-1])
-            _fisher_yates(self._pair)
-            self._starts.append((self._pair.a, self._pair.b))
-        self._restore(self._starts[symbol_index])
-        perm = _fisher_yates(self._pair)
-        if symbol_index + 1 == len(self._starts):
-            self._starts.append((self._pair.a, self._pair.b))
-        return perm
-
-
-def keystream_permutation(schedule: KeySchedule, symbol_index: int) -> tuple[int, ...]:
-    return schedule.permutation(symbol_index)
+        if symbol_index < self._start:
+            self._rewind()
+        while symbol_index >= (end := self.symbol_counter):
+            step = min(self.BLOCK, max(symbol_index + 1 - end, end, 64))
+            perms, *states = permutation_stream(*self._states, step)
+            self._block = np.concatenate((self._block, perms))[-self.BLOCK :]
+            self._start, self._states = end + step - len(self._block), tuple(states)
+        return tuple(self._block[symbol_index - self._start].tolist())
 
 
 def inverse_permutation(perm: tuple[int, ...]) -> tuple[int, ...]:
@@ -320,13 +345,11 @@ def embed_with_permutation(
     carrier: ChipSequence,
     stego_symbol: int,
     permutation: tuple[int, ...],
-    codebook: StegoCodebook | None = None,
 ) -> ChipSequence:
     """Flip the carrier chips at the permuted pattern positions."""
     if not 0 <= stego_symbol < CODEBOOK_SIZE:
         raise ValueError(f"stego symbol out of range: {stego_symbol}")
-    book = codebook if codebook is not None else build_codebook()
-    return carrier.flip(permutation[p] for p in book.patterns[stego_symbol])
+    return carrier.flip(permutation[p] for p in build_codebook().patterns[stego_symbol])
 
 
 def embed(
@@ -334,7 +357,6 @@ def embed(
     stego_symbol: int,
     schedule: KeySchedule,
     symbol_index: int,
-    code_set: CodeSet | None = None,
 ) -> ChipSequence:
     """Embed a covert symbol into a standard spreading code.
 
@@ -342,8 +364,7 @@ def embed(
     despreads to the carrier's data symbol (residual distance 5, all
     other codes at distance >= 7).
     """
-    cs = code_set if code_set is not None else standard_code_set()
-    if decode_chips(carrier, cs).distance != 0:
+    if decode_chips(carrier).distance != 0:
         raise InvalidCarrierError(
             f"carrier {carrier.to_string()} is not a standard spreading code"
         )
@@ -353,33 +374,27 @@ def embed(
 def extract_with_permutation(
     received: ChipSequence,
     permutation: tuple[int, ...],
-    code_set: CodeSet | None = None,
-    codebook: StegoCodebook | None = None,
 ) -> ExtractResult:
     """Read the covert symbol back from the received word's diff set.
 
     Despreads to the nearest standard code, unpermutes the differing
-    positions and looks the result up in the codebook.  A non-exact match
-    falls back to the nearest pattern (ties to the lowest symbol) with
-    exact=False, so the covert channel degrades instead of erasing.
+    positions and takes the pattern at the least symmetric difference
+    (ties to the lowest symbol).  Only a zero difference is exact; any
+    other is a fallback with exact=False, so the covert channel degrades
+    instead of erasing.
     """
-    cs = code_set if code_set is not None else standard_code_set()
-    book = codebook if codebook is not None else build_codebook()
-    nearest = decode_chips(received, cs)
-    diff = received.diff_positions(cs.codes[nearest.symbol])
+    nearest = decode_chips(received)
     inv = inverse_permutation(permutation)
-    positions = frozenset(inv[p] for p in diff)
-    exact_symbol = book.symbol_for(positions)
-    if exact_symbol is not None:
-        return ExtractResult(exact_symbol, True, len(positions))
-    symbol, _ = book.nearest_symbol(positions)
-    return ExtractResult(symbol, False, len(positions))
+    code = standard_code_set().codes[nearest.symbol]
+    observed = sum(1 << inv[p] for p in received.diff_positions(code))
+    dists = [(observed ^ mask).bit_count() for mask in build_codebook().masks]
+    best = min(dists)
+    return ExtractResult(dists.index(best), best == 0, observed.bit_count())
 
 
 def extract(
     received: ChipSequence,
     schedule: KeySchedule,
     symbol_index: int,
-    code_set: CodeSet | None = None,
 ) -> ExtractResult:
-    return extract_with_permutation(received, schedule.permutation(symbol_index), code_set)
+    return extract_with_permutation(received, schedule.permutation(symbol_index))

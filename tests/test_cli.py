@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from dsss_stego.analysis import ber_ieee
 from dsss_stego.cli import main
@@ -208,3 +209,48 @@ def test_missing_input_file_is_data_error(tmp_path, capsys):
 def test_bad_key_is_usage_error():
     assert run_cli("simulate", "--symbols", "10", "--p-chip", "0", "--key", "ZZZZ") == 2
     assert run_cli("simulate", "--symbols", "10", "--p-chip", "0", "--key", "0000") == 2
+
+
+def test_symbols_below_one_is_usage_error(capsys):
+    assert run_cli("simulate", "--symbols", "0", "--p-chip", "0") == 2
+    assert "count must be in [1" in capsys.readouterr().err
+    assert run_cli("simulate", "--symbols", "1.5", "--p-chip", "0") == 2
+
+
+def test_symbols_per_point_below_one_is_usage_error(capsys):
+    assert run_cli(
+        "sweep", "--snr-db", "0", "--embed-rate", "0", "--symbols-per-point", "0"
+    ) == 2
+    assert "count must be in [1" in capsys.readouterr().err
+
+
+def test_analytic_embed_rate_out_of_range_is_usage_error(capsys):
+    assert run_cli("analytic", "--snr-db", "0", "--embed-rate", "0,1.5") == 2
+    assert "embed rate must be in [0.0, 1.0]" in capsys.readouterr().err
+    assert run_cli("sweep", "--snr-db", "0", "--embed-rate", "0:2:1",
+                   "--symbols-per-point", "4") == 2
+
+
+def test_analytic_embed_chips_out_of_range_is_usage_error(capsys):
+    assert run_cli("analytic", "--snr-db", "0", "--embed-chips", "6") == 2
+    assert "embed chips must be in [0, 5]" in capsys.readouterr().err
+    assert run_cli("analytic", "--snr-db", "0", "--embed-chips", "-1") == 2
+
+
+def test_non_finite_or_unusable_numbers_are_usage_errors():
+    assert run_cli("simulate", "--symbols", "10", "--snr-db", "nan") == 2
+    assert run_cli("simulate", "--symbols", "10", "--snr-db", "-4000") == 2
+    assert run_cli("simulate", "--symbols", "10", "--p-chip", "0", "--seed", "-1") == 2
+    assert run_cli("analytic", "--snr-db", "inf:inf:1") == 2
+
+
+def test_internal_value_error_is_not_a_data_error(monkeypatch):
+    # only typed input errors map to exit 3; a bug must surface as itself
+    import dsss_stego.cli as cli
+
+    def broken(config):
+        raise ValueError("internal invariant")
+
+    monkeypatch.setattr(cli, "run_simulation", broken)
+    with pytest.raises(ValueError, match="internal invariant"):
+        run_cli("simulate", "--symbols", "10", "--p-chip", "0")

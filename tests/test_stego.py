@@ -1,8 +1,10 @@
 import math
 import random
+import tracemalloc
 from functools import lru_cache
 from itertools import combinations
 
+import numpy as np
 import pytest
 
 from dsss_stego.chipmap import ChipSequence, decode_chips, hamming, map_symbol
@@ -13,15 +15,14 @@ from dsss_stego.stego import (
     SUBSET_COUNT,
     InvalidCarrierError,
     KeySchedule,
-    Lfsr,
-    LfsrPair,
     StegoKey,
     build_codebook,
     embed,
     embed_with_permutation,
     extract,
     inverse_permutation,
-    keystream_permutation,
+    lfsr_bits,
+    permutation_stream,
     rank_subset,
     unrank_subset,
 )
@@ -134,31 +135,46 @@ def test_taps_are_maximal_length(taps):
 
 
 def test_lfsr_state_never_zero():
-    lfsr = Lfsr(0x0001)
-    for _ in range(100_000):
-        lfsr.next_bit()
-        assert lfsr.state != 0
+    # the register state at stream position p is bits p..p+31
+    bits = lfsr_bits(0x0001, PRIMARY_TAPS, 100_000 + 32)
+    ones = np.concatenate(([0], np.cumsum(bits, dtype=np.int64)))
+    assert (ones[32:] - ones[:-32] > 0).all()
     with pytest.raises(ValueError):
-        Lfsr(0)
+        lfsr_bits(0, PRIMARY_TAPS, 64)
 
 
 def test_lfsr_deterministic():
-    a = Lfsr(0xBEEF)
-    b = Lfsr(0xBEEF)
-    assert [a.next_bit() for _ in range(256)] == [b.next_bit() for _ in range(256)]
+    a = lfsr_bits(0xBEEF, PRIMARY_TAPS, 256)
+    b = lfsr_bits(0xBEEF, PRIMARY_TAPS, 256)
+    assert (a == b).all()
 
 
 def test_lfsr_pair_keystream():
-    pair = LfsrPair(0xDEADBEEF, 0x12345678)
-    again = LfsrPair(0xDEADBEEF, 0x12345678)
-    words = [pair.next_uint(16) for _ in range(64)]
-    assert words == [again.next_uint(16) for _ in range(64)]
-    assert pair.a != 0 and pair.b != 0
+    def combined(seed_a, seed_b):
+        return lfsr_bits(seed_a, PRIMARY_TAPS, 1024) ^ lfsr_bits(seed_b, SECONDARY_TAPS, 1024)
+
+    words = combined(0xDEADBEEF, 0x12345678)
+    assert (words == combined(0xDEADBEEF, 0x12345678)).all()
+    _, a, b = permutation_stream(0xDEADBEEF, 0x12345678, 64)
+    assert a != 0 and b != 0
     # combined stream differs from either component stream
-    single = Lfsr(0xDEADBEEF)
-    assert words != [single.next_uint(16) for _ in range(64)]
+    assert (words != lfsr_bits(0xDEADBEEF, PRIMARY_TAPS, 1024)).any()
     with pytest.raises(ValueError):
-        LfsrPair(0, 1)
+        permutation_stream(0, 1, 1)
+
+
+def test_keystream_memory_bounded():
+    # the cursor keeps one block, not a state per symbol generated so far
+    sched = KeySchedule(StegoKey.from_hex("ACE1"))
+    tracemalloc.start()
+    try:
+        for i in range(100_000):
+            sched.permutation(i)
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sched.symbol_counter >= 100_000
+    assert retained < 1 << 20
 
 
 # -- keyed permutations ------------------------------------------------------
@@ -180,7 +196,7 @@ def test_key_hex_round_trip():
 def test_permutation_is_bijection_with_inverse():
     sched = KeySchedule(StegoKey.from_hex("ACE1"))
     for i in (0, 1, 7):
-        perm = keystream_permutation(sched, i)
+        perm = sched.permutation(i)
         assert sorted(perm) == list(range(32))
         inv = inverse_permutation(perm)
         assert tuple(inv[p] for p in perm) == tuple(range(32))
