@@ -48,7 +48,6 @@ from .stego import (
     build_codebook,
     embed,
     extract,
-    inverse_permutation,
     rank_subset,
     unrank_subset,
 )

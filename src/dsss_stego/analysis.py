@@ -11,9 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-CODE_LENGTH = 32
-BITS_PER_SYMBOL = 4
-CORRECTION_RADIUS = 5  # floor((d_min - 1) / 2) with d_min = 12
+from .chipmap import BITS_PER_SYMBOL, CHIPS_PER_SYMBOL
+from .stego import PATTERN_WEIGHT
 
 # The 16-ary orthogonal BER curve below carries a symbol SNR of 20x the
 # curve argument; splitting that symbol energy over the 4 data bits gives
@@ -51,26 +50,28 @@ def stego_alphabet_size(d_min: int) -> StegoAlphabetReport:
     decoded to the carrier code, so each such layout can act as one
     covert symbol.  Exact integer arithmetic throughout.
     """
-    if not 1 <= d_min <= CODE_LENGTH:
+    if not 1 <= d_min <= CHIPS_PER_SYMBOL:
         raise ValueError(f"d_min must be in [1, 32], got {d_min}")
     t = (d_min - 1) // 2
     if t == 0:
         return StegoAlphabetReport(d_min, 0, 0, 1, 0.0, degenerate=True)
-    total = sum(math.comb(CODE_LENGTH, i) for i in range(1, t + 1))
-    fixed = math.comb(CODE_LENGTH, t)
+    total = sum(math.comb(CHIPS_PER_SYMBOL, i) for i in range(1, t + 1))
+    fixed = math.comb(CHIPS_PER_SYMBOL, t)
     return StegoAlphabetReport(d_min, t, total, fixed, math.log2(fixed))
 
 
 def delta_avg_distance(t: int, d_mean: float) -> float:
     """Shift in the mean pairwise code distance when t of 32 chips flip."""
-    if not 0 <= t <= CODE_LENGTH:
+    if not 0 <= t <= CHIPS_PER_SYMBOL:
         raise ValueError(f"t must be in [0, 32], got {t}")
     if d_mean <= 0:
         raise ValueError(f"d_mean must be positive, got {d_mean}")
-    return t * d_mean / CODE_LENGTH
+    return t * d_mean / CHIPS_PER_SYMBOL
 
 
-def coded_bit_error_prob(p_b: float, n: int = CODE_LENGTH, t: int = CORRECTION_RADIUS) -> float:
+def coded_bit_error_prob(
+    p_b: float, n: int = CHIPS_PER_SYMBOL, t: int = PATTERN_WEIGHT
+) -> float:
     """Bounded-distance post-decoding bit error probability.
 
     For a length-n code correcting up to t errors with raw bit error
@@ -99,8 +100,8 @@ def coded_bit_error_prob(p_b: float, n: int = CODE_LENGTH, t: int = CORRECTION_R
 class PerformanceModelParams:
     """Knobs of the covert-load BER model."""
 
-    n: int = CODE_LENGTH
-    t: int = CORRECTION_RADIUS
+    n: int = CHIPS_PER_SYMBOL
+    t: int = PATTERN_WEIGHT
     d_mean: float = 17.1
     embed_chips: int = 5       # chips flipped per embedded sequence
     embed_rate: float = 1.0    # fraction of data symbols carrying covert load

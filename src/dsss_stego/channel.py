@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chipmap import ChipSequence
+from .chipmap import CHIPS_PER_SYMBOL, ChipSequence, pack_chips
 
 # Recorded in every report so results can be reproduced bit for bit.
 GENERATOR_ID = "numpy-pcg64"
@@ -58,21 +58,22 @@ def make_rng(seed: int) -> np.random.Generator:
 
 
 def transmit_stream(
-    chips: np.ndarray, params: ChannelParams, rng: np.random.Generator
+    words: np.ndarray, params: ChannelParams, rng: np.random.Generator
 ) -> tuple[np.ndarray, int]:
-    """Flip each chip independently with probability p_chip.
+    """Flip each chip of the (N,) uint32 words independently with probability p_chip.
 
-    Returns the received array and the number of flips (the chip error
-    count as measured at the channel, before any decoding).
+    One uniform draw per chip, chip 0 of word 0 first.  Returns the received
+    words and the number of flips (the chip error count as measured at the
+    channel, before any decoding).
     """
     if params.p_chip == 0.0:
-        return chips.copy(), 0
-    flips = rng.random(chips.shape) < params.p_chip
-    return chips ^ flips.astype(np.uint8), int(flips.sum())
+        return words.copy(), 0
+    flips = pack_chips(rng.random(words.shape + (CHIPS_PER_SYMBOL,)) < params.p_chip)
+    return words ^ flips, int(np.bitwise_count(flips).sum())
 
 
 def transmit(
     seq: ChipSequence, params: ChannelParams, rng: np.random.Generator
 ) -> ChipSequence:
-    out, _ = transmit_stream(np.array(seq.chips, dtype=np.uint8), params, rng)
-    return ChipSequence.from_chips(int(b) for b in out)
+    out, _ = transmit_stream(np.array([seq.word], dtype=np.uint32), params, rng)
+    return ChipSequence(int(out[0]))

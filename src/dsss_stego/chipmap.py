@@ -3,6 +3,9 @@
 The 2450 MHz PHY maps each 4-bit data symbol onto one of 16 predefined
 32-chip pseudo-noise sequences.  This module holds that table plus the
 Hamming arithmetic and nearest-code decoding a receiver uses to undo it.
+
+It also owns the one chip layout of the package: a symbol's 32 chips are
+one uint32 word with chip i at bit i, and a stream is an (N,) uint32 array.
 """
 
 from __future__ import annotations
@@ -15,7 +18,9 @@ from typing import Iterable, NamedTuple
 import numpy as np
 
 CHIPS_PER_SYMBOL = 32
-SYMBOL_VALUES = 16
+BITS_PER_SYMBOL = 4
+SYMBOL_VALUES = 1 << BITS_PER_SYMBOL
+_DECODE_CHUNK = 1 << 16  # words despread per block: bounds the (block, 16) distance table
 
 # IEEE 802.15.4-2006, Table 73 (2450 MHz band), chip c0 first.  The values
 # are guarded by the pairwise-distance statistics test: any single-chip
@@ -47,8 +52,9 @@ class InvalidCodeSetError(ValueError):
 class ChipSequence:
     """Immutable 32-chip word; chip index 0 is transmitted first.
 
-    Internally a 32-bit integer with chip i stored at bit i, so Hamming
-    distances reduce to a popcount.  Textual form is a 32-character
+    A 32-bit integer with chip i stored at bit i, the layout of every chip
+    word in the package (streams are (N,) uint32 arrays of such words), so
+    Hamming distances reduce to a popcount.  Textual form is a 32-character
     '0'/'1' string with chip 0 leftmost.
     """
 
@@ -68,30 +74,14 @@ class ChipSequence:
             raise ValueError(f"need exactly 32 chips, got {len(text)}")
         if set(text) - {"0", "1"}:
             raise ValueError(f"chip string must be binary: {text!r}")
-        word = 0
-        for i, ch in enumerate(text):
-            if ch == "1":
-                word |= 1 << i
-        return cls(word)
-
-    @classmethod
-    def from_chips(cls, chips: Iterable[int]) -> "ChipSequence":
-        bits = list(chips)
-        if len(bits) != CHIPS_PER_SYMBOL:
-            raise ValueError(f"need exactly 32 chips, got {len(bits)}")
-        word = 0
-        for i, b in enumerate(bits):
-            if b not in (0, 1):
-                raise ValueError(f"chip values must be 0 or 1, got {b!r}")
-            word |= b << i
-        return cls(word)
+        return cls(int(text[::-1], 2))
 
     @property
     def chips(self) -> tuple[int, ...]:
-        return tuple((self.word >> i) & 1 for i in range(CHIPS_PER_SYMBOL))
+        return tuple(map(int, self.to_string()))
 
     def to_string(self) -> str:
-        return "".join("1" if (self.word >> i) & 1 else "0" for i in range(CHIPS_PER_SYMBOL))
+        return f"{self.word:032b}"[::-1]
 
     def flip(self, positions: Iterable[int]) -> "ChipSequence":
         """Return a copy with the chips at the given positions inverted."""
@@ -101,10 +91,6 @@ class ChipSequence:
                 raise ValueError(f"chip position out of range: {p}")
             mask |= 1 << p
         return ChipSequence(self.word ^ mask)
-
-    def diff_positions(self, other: "ChipSequence") -> tuple[int, ...]:
-        d = self.word ^ other.word
-        return tuple(i for i in range(CHIPS_PER_SYMBOL) if (d >> i) & 1)
 
     def __eq__(self, other):
         return isinstance(other, ChipSequence) and self.word == other.word
@@ -163,32 +149,44 @@ def code_set_stats(code_set: CodeSet) -> CodeSetStats:
     return CodeSetStats(min(dists), sum(dists) / len(dists), max(dists))
 
 
-def map_symbol(symbol: int, code_set: CodeSet | None = None) -> ChipSequence:
+_CODE_WORDS = np.array([c.word for c in standard_code_set().codes], dtype=np.uint32)
+_CODE_WORDS.setflags(write=False)
+
+
+def code_matrix() -> np.ndarray:
+    """The 16 standard codes as a read-only (16,) uint32 word array, indexed by symbol."""
+    return _CODE_WORDS
+
+
+def pack_chips(rows: np.ndarray) -> np.ndarray:
+    """0/1 chips along the last axis (32 per word) -> uint32 words, chip i at bit i."""
+    packed = np.packbits(np.asarray(rows, dtype=bool), axis=-1, bitorder="little")
+    return packed.view("<u4")[..., 0].astype(np.uint32, copy=False)
+
+
+def unpack_chips(words: np.ndarray) -> np.ndarray:
+    """(N,) uint32 words -> (N, 32) uint8 chips, chip 0 first (inverse of pack_chips)."""
+    octets = np.ascontiguousarray(words, dtype="<u4").view(np.uint8).reshape(-1, 4)
+    return np.unpackbits(octets, axis=1, bitorder="little")
+
+
+def despread_stream(words: np.ndarray) -> np.ndarray:
+    """Nearest-code symbol per word (ties to the lowest symbol)."""
+    out = np.empty(len(words), dtype=np.uint8)
+    for start in range(0, len(words), _DECODE_CHUNK):
+        distances = np.bitwise_count(words[start : start + _DECODE_CHUNK, None] ^ _CODE_WORDS)
+        out[start : start + _DECODE_CHUNK] = distances.argmin(axis=1)
+    return out
+
+
+def map_symbol(symbol: int) -> ChipSequence:
     """Spread a 4-bit data symbol onto its 32-chip code."""
     if not 0 <= symbol < SYMBOL_VALUES:
         raise ValueError(f"data symbol out of range: {symbol}")
-    cs = code_set if code_set is not None else standard_code_set()
-    return cs.codes[symbol]
+    return standard_code_set().codes[symbol]
 
 
-def decode_chips(received: ChipSequence, code_set: CodeSet | None = None) -> DecodeResult:
+def decode_chips(received: ChipSequence) -> DecodeResult:
     """Despread by nearest code; ties go to the lowest symbol value."""
-    cs = code_set if code_set is not None else standard_code_set()
-    best_symbol = 0
-    best_distance = CHIPS_PER_SYMBOL + 1
-    word = received.word
-    for symbol, code in enumerate(cs.codes):
-        d = (word ^ code.word).bit_count()
-        if d < best_distance:  # strict: first minimum = lowest symbol wins
-            best_symbol = symbol
-            best_distance = d
-    return DecodeResult(best_symbol, best_distance)
-
-
-@functools.lru_cache(maxsize=4)
-def code_matrix(code_set: CodeSet | None = None) -> np.ndarray:
-    """(16, 32) uint8 view of a code set, for vectorized despreading."""
-    cs = code_set if code_set is not None else standard_code_set()
-    m = np.array([c.chips for c in cs.codes], dtype=np.uint8)
-    m.setflags(write=False)
-    return m
+    symbol = int(despread_stream(np.array([received.word], dtype=np.uint32))[0])
+    return DecodeResult(symbol, (received.word ^ int(_CODE_WORDS[symbol])).bit_count())

@@ -25,7 +25,6 @@ from .chipmap import code_set_stats, standard_code_set
 from .fileio import ChipStreamFormatError, read_chip_stream, write_chip_stream
 from .pipeline import (
     CapacityError,
-    FramingError,
     SimConfig,
     decode_stream,
     encode_stream,
@@ -205,14 +204,14 @@ def _cmd_encode(args) -> int:
         )
     else:
         stego_bits = np.zeros(0, dtype=np.uint8)
-    chips = encode_stream(data_bits, stego_bits, args.key, args.embed_rate)
-    write_chip_stream(args.out, chips)
+    words = encode_stream(data_bits, stego_bits, args.key, args.embed_rate)
+    write_chip_stream(args.out, words)
     return 0
 
 
 def _cmd_decode(args) -> int:
-    chips = read_chip_stream(args.infile)
-    decoded = decode_stream(chips, args.key, args.embed_rate)
+    words = read_chip_stream(args.infile)
+    decoded = decode_stream(words, args.key, args.embed_rate)
     Path(args.data_out).write_bytes(np.packbits(decoded.data_bits).tobytes())
     if args.stego_out is not None:
         Path(args.stego_out).write_bytes(np.packbits(decoded.stego_bits).tobytes())
@@ -290,7 +289,7 @@ def main(argv: list[str] | None = None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.func(args)
-    except (ChipStreamFormatError, CapacityError, FramingError, FileNotFoundError) as exc:
+    except (ChipStreamFormatError, CapacityError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

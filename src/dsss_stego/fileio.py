@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .chipmap import CHIPS_PER_SYMBOL
+from .chipmap import CHIPS_PER_SYMBOL, pack_chips, unpack_chips
 
 MAGIC = b"CHIP"
 VERSION = 1
@@ -29,15 +29,17 @@ class ChipStreamFormatError(ValueError):
         self.offset = offset
 
 
-def write_chip_stream(path: str | Path, chips: np.ndarray) -> None:
-    chips = np.asarray(chips, dtype=np.uint8)
-    if chips.ndim != 2 or chips.shape[1] != CHIPS_PER_SYMBOL:
-        raise ValueError(f"expected an (N, 32) chip matrix, got shape {chips.shape}")
-    header = MAGIC + bytes([VERSION]) + struct.pack("<Q", chips.shape[0])
-    Path(path).write_bytes(header + np.packbits(chips.reshape(-1)).tobytes())
+def write_chip_stream(path: str | Path, words: np.ndarray) -> None:
+    """Write (N,) uint32 chip words (chip i at bit i) as a chip-stream file."""
+    words = np.asarray(words)
+    if words.ndim != 1 or words.dtype != np.uint32:
+        raise ValueError(f"expected (N,) uint32 chip words, got {words.dtype} {words.shape}")
+    header = MAGIC + bytes([VERSION]) + struct.pack("<Q", words.size)
+    Path(path).write_bytes(header + np.packbits(unpack_chips(words)).tobytes())
 
 
 def read_chip_stream(path: str | Path) -> np.ndarray:
+    """The (N,) uint32 chip words of a chip-stream file; ChipStreamFormatError if malformed."""
     raw = Path(path).read_bytes()
     if len(raw) < HEADER_SIZE:
         raise ChipStreamFormatError(
@@ -60,5 +62,5 @@ def read_chip_stream(path: str | Path) -> np.ndarray:
             f"{len(payload) - expected} trailing bytes after chip payload",
             HEADER_SIZE + expected,
         )
-    bits = np.unpackbits(np.frombuffer(payload, dtype=np.uint8))
-    return bits.reshape(-1, CHIPS_PER_SYMBOL)
+    chips = np.unpackbits(np.frombuffer(payload, dtype=np.uint8))
+    return pack_chips(chips.reshape(-1, CHIPS_PER_SYMBOL))

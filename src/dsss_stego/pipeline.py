@@ -13,30 +13,23 @@ from typing import NamedTuple
 import numpy as np
 
 from .channel import GENERATOR_ID, ChannelParams, make_rng, transmit_stream
-from .chipmap import CHIPS_PER_SYMBOL, code_matrix
+from .chipmap import BITS_PER_SYMBOL, CHIPS_PER_SYMBOL, code_matrix, despread_stream
 from .stego import (
-    PATTERN_WEIGHT,
     SCHEDULE_TAPS,
     StegoKey,
     _expand_key,
-    build_codebook,
+    embed_words,
+    extract_diffs,
     key_registers,
     lfsr_bits,
     permutation_stream,
 )
 
-_BITS_PER_SYMBOL = 4
 _GROUP_WEIGHTS = np.array([8, 4, 2, 1], dtype=np.uint8)  # first bit is the MSB
-_POP4 = np.array([bin(v).count("1") for v in range(16)], dtype=np.uint8)
-_DECODE_CHUNK = 1 << 16
 
 
 class CapacityError(ValueError):
     """Covert payload exceeds what the embedding schedule can carry."""
-
-
-class FramingError(ValueError):
-    """Chip stream length is not a whole number of 32-chip symbols."""
 
 
 class SlotDiagnostic(NamedTuple):
@@ -68,42 +61,20 @@ def embedding_schedule(key: StegoKey, embed_rate: float, num_symbols: int) -> np
 
 def bits_to_symbols(bits: np.ndarray) -> np.ndarray:
     """Group bits 4 at a time into symbol values, first bit as the MSB."""
-    bits = np.asarray(bits, dtype=np.uint8)
-    if bits.size % _BITS_PER_SYMBOL:
+    bits = np.asarray(bits)
+    if bits.size % BITS_PER_SYMBOL:
         raise ValueError(f"bit count must be divisible by 4, got {bits.size}")
-    return bits.reshape(-1, _BITS_PER_SYMBOL) @ _GROUP_WEIGHTS
+    if ((bits != 0) & (bits != 1)).any():
+        raise ValueError("bits must be 0 or 1")
+    return bits.astype(np.uint8).reshape(-1, BITS_PER_SYMBOL) @ _GROUP_WEIGHTS
 
 
 def symbols_to_bits(symbols: np.ndarray) -> np.ndarray:
     symbols = np.asarray(symbols, dtype=np.uint8)
-    out = np.empty((symbols.size, _BITS_PER_SYMBOL), dtype=np.uint8)
-    for j in range(_BITS_PER_SYMBOL):
+    out = np.empty((symbols.size, BITS_PER_SYMBOL), dtype=np.uint8)
+    for j in range(BITS_PER_SYMBOL):
         out[:, j] = (symbols >> (3 - j)) & 1
     return out.reshape(-1)
-
-
-def despread_stream(chips: np.ndarray) -> np.ndarray:
-    """Nearest-code symbol per 32-chip row (ties to the lowest symbol)."""
-    codes = code_matrix()
-    out = np.empty(chips.shape[0], dtype=np.uint8)
-    for start in range(0, chips.shape[0], _DECODE_CHUNK):
-        block = chips[start : start + _DECODE_CHUNK]
-        d = (block[:, None, :] != codes[None, :, :]).sum(axis=2)
-        out[start : start + _DECODE_CHUNK] = d.argmin(axis=1)
-    return out
-
-
-def _as_symbol_matrix(chips: np.ndarray) -> np.ndarray:
-    chips = np.asarray(chips, dtype=np.uint8)
-    if chips.ndim == 1:
-        if chips.size % CHIPS_PER_SYMBOL:
-            raise FramingError(
-                f"chip count {chips.size} is not divisible by {CHIPS_PER_SYMBOL}"
-            )
-        return chips.reshape(-1, CHIPS_PER_SYMBOL)
-    if chips.ndim == 2 and chips.shape[1] == CHIPS_PER_SYMBOL:
-        return chips
-    raise FramingError(f"expected flat chips or (N, 32), got shape {chips.shape}")
 
 
 def encode_stream(
@@ -116,29 +87,27 @@ def encode_stream(
 
     Covert bits fill the scheduled slots 4 at a time in stream order; a
     trailing partial group is zero-padded, and scheduled slots beyond the
-    payload are transmitted clean.  Returns an (N, 32) uint8 chip matrix.
+    payload are transmitted clean.  Returns (N,) uint32 chip words.
     """
-    data_bits = np.asarray(data_bits, dtype=np.uint8)
-    stego_bits = np.asarray(stego_bits, dtype=np.uint8)
     symbols = bits_to_symbols(data_bits)
-    chips = code_matrix()[symbols].astype(np.uint8)
+    words = code_matrix()[symbols]
     schedule = embedding_schedule(key, embed_rate, symbols.size)
     slots = np.nonzero(schedule)[0]
-    capacity = _BITS_PER_SYMBOL * slots.size
+    stego_bits = np.asarray(stego_bits)
+    capacity = BITS_PER_SYMBOL * slots.size
     if stego_bits.size > capacity:
         raise CapacityError(
             f"stego payload is {stego_bits.size} bits but the schedule "
             f"provides {capacity} bits"
         )
     if stego_bits.size == 0:
-        return chips
-    padded = np.zeros(-(-stego_bits.size // 4) * 4, dtype=np.uint8)
-    padded[: stego_bits.size] = stego_bits
-    stego_symbols = bits_to_symbols(padded)
+        return words
+    padding = np.zeros(-stego_bits.size % BITS_PER_SYMBOL, dtype=np.uint8)
+    stego_symbols = bits_to_symbols(np.concatenate((stego_bits.reshape(-1), padding)))
     rows = slots[: stego_symbols.size]
     perms, _, _ = permutation_stream(*key_registers(key), int(rows[-1]) + 1)
-    chips[rows[:, None], perms[rows]] ^= build_codebook().indicator[stego_symbols]
-    return chips
+    words[rows] = embed_words(words[rows], stego_symbols, perms[rows])
+    return words
 
 
 @dataclass
@@ -148,24 +117,17 @@ class DecodedStream:
     slots: list[SlotDiagnostic]
 
 
-def decode_stream(chips: np.ndarray, key: StegoKey, embed_rate: float) -> DecodedStream:
-    """Despread the carrier and extract covert symbols at scheduled slots."""
-    matrix = _as_symbol_matrix(chips)
-    decoded_symbols = despread_stream(matrix)
+def decode_stream(words: np.ndarray, key: StegoKey, embed_rate: float) -> DecodedStream:
+    """Despread (N,) uint32 chip words and extract covert symbols at scheduled slots."""
+    decoded_symbols = despread_stream(words)
     data_bits = symbols_to_bits(decoded_symbols)
-    schedule = embedding_schedule(key, embed_rate, matrix.shape[0])
+    schedule = embedding_schedule(key, embed_rate, len(words))
     slot_indices = np.nonzero(schedule)[0]
     if slot_indices.size == 0:
         return DecodedStream(data_bits, np.zeros(0, dtype=np.uint8), [])
     perms, _, _ = permutation_stream(*key_registers(key), int(slot_indices[-1]) + 1)
-    diff = matrix[slot_indices] ^ code_matrix()[decoded_symbols[slot_indices]]
-    weight = diff.sum(axis=1, dtype=np.int32)
-    # diff bit at chip perm[p] is codebook position p; distance is the
-    # symmetric difference |diff| + 5 - 2 * overlap with each pattern
-    overlap = np.take_along_axis(diff, perms[slot_indices], axis=1) @ build_codebook().indicator.T
-    dist = weight[:, None] + PATTERN_WEIGHT - 2 * overlap.astype(np.int32)
-    stego_symbols = dist.argmin(axis=1).astype(np.uint8)  # ties go to the lowest symbol
-    exact = dist.min(axis=1) == 0
+    diffs = words[slot_indices] ^ code_matrix()[decoded_symbols[slot_indices]]
+    stego_symbols, exact, weight = extract_diffs(diffs, perms[slot_indices])
     diagnostics = list(map(SlotDiagnostic, slot_indices.tolist(), exact.tolist(), weight.tolist()))
     return DecodedStream(data_bits, symbols_to_bits(stego_symbols), diagnostics)
 
@@ -223,7 +185,7 @@ class SimReport:
 
     @property
     def carrier_ber(self) -> float:
-        bits = _BITS_PER_SYMBOL * self.symbols_sent
+        bits = BITS_PER_SYMBOL * self.symbols_sent
         return self.carrier_bit_errors / bits if bits else 0.0
 
     @property
@@ -271,31 +233,27 @@ def run_simulation(config: SimConfig) -> SimReport:
     rng = make_rng(config.rng_seed)
     n = config.num_symbols
     schedule = embedding_schedule(config.key, config.embed_rate, n)
-    capacity = _BITS_PER_SYMBOL * int(schedule.sum())
+    capacity = BITS_PER_SYMBOL * int(schedule.sum())
     if config.payload_mode == "random":
-        data_bits = rng.integers(0, 2, _BITS_PER_SYMBOL * n, dtype=np.uint8)
+        data_bits = rng.integers(0, 2, BITS_PER_SYMBOL * n, dtype=np.uint8)
         stego_bits = rng.integers(0, 2, capacity, dtype=np.uint8)
     else:
-        data_bits = np.asarray(config.data_bits, dtype=np.uint8)
-        stego_bits = (
-            np.zeros(0, dtype=np.uint8)
-            if config.stego_bits is None
-            else np.asarray(config.stego_bits, dtype=np.uint8)
-        )
-        if data_bits.size != _BITS_PER_SYMBOL * n:
+        data_bits = np.asarray(config.data_bits)
+        stego_bits = np.asarray([] if config.stego_bits is None else config.stego_bits)
+        if data_bits.size != BITS_PER_SYMBOL * n:
             raise ValueError(
-                f"fixed payload has {data_bits.size} bits, expected {_BITS_PER_SYMBOL * n}"
+                f"fixed payload has {data_bits.size} bits, expected {BITS_PER_SYMBOL * n}"
             )
     sent_symbols = bits_to_symbols(data_bits)
-    chips = encode_stream(data_bits, stego_bits, config.key, config.embed_rate)
-    received, chip_errors = transmit_stream(chips, config.channel, rng)
+    words = encode_stream(data_bits, stego_bits, config.key, config.embed_rate)
+    received, chip_errors = transmit_stream(words, config.channel, rng)
     decoded = decode_stream(received, config.key, config.embed_rate)
     decoded_symbols = bits_to_symbols(decoded.data_bits)
     symbol_errors = int((decoded_symbols != sent_symbols).sum())
-    bit_errors = int(_POP4[decoded_symbols ^ sent_symbols].sum())
+    bit_errors = int(np.bitwise_count(decoded_symbols ^ sent_symbols).sum())
 
     # covert stats cover only slots that actually carried payload bits
-    n_stego = stego_bits.size // _BITS_PER_SYMBOL
+    n_stego = stego_bits.size // BITS_PER_SYMBOL
     stego_errors = 0
     stego_exact = 0
     if n_stego:

@@ -30,9 +30,9 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .chipmap import CHIPS_PER_SYMBOL, ChipSequence, decode_chips, standard_code_set
+from .chipmap import CHIPS_PER_SYMBOL, ChipSequence, code_matrix, decode_chips
 
-PATTERN_WEIGHT = 5          # = floor((d_min - 1) / 2) for d_min = 12
+PATTERN_WEIGHT = 5          # = floor((d_min - 1) / 2) for d_min = 12: the correction radius
 MIN_PATTERN_SEPARATION = 6  # symmetric-difference floor between patterns
 CODEBOOK_SIZE = 16
 SUBSET_COUNT = math.comb(CHIPS_PER_SYMBOL, PATTERN_WEIGHT)  # 201376
@@ -96,11 +96,10 @@ class StegoCodebook:
     patterns: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        # the patterns as 32-bit position masks and as (16, 32) 0/1 rows
+        # the patterns as 32-bit position masks and as a (16, 5) position array
         masks = tuple(sum(1 << p for p in pat) for pat in self.patterns)
-        indicator = (np.array(masks)[:, None] >> np.arange(CHIPS_PER_SYMBOL)) & 1
         object.__setattr__(self, "masks", masks)
-        object.__setattr__(self, "indicator", indicator.astype(np.uint8))
+        object.__setattr__(self, "positions", np.array(self.patterns, dtype=np.intp))
 
     def min_pairwise_distance(self) -> int:
         return min((a ^ b).bit_count() for i, a in enumerate(self.masks) for b in self.masks[:i])
@@ -328,11 +327,35 @@ class KeySchedule:
         return tuple(self._block[symbol_index - self._start].tolist())
 
 
-def inverse_permutation(perm: tuple[int, ...]) -> tuple[int, ...]:
-    inv = [0] * len(perm)
-    for i, p in enumerate(perm):
-        inv[p] = i
-    return tuple(inv)
+def pattern_masks(perms: np.ndarray) -> np.ndarray:
+    """(n, 16) uint32 chip words: the 16 codebook patterns placed through each permutation.
+
+    Row k of perms maps codebook position p to chip perms[k, p].
+    """
+    chip_bits = np.uint32(1) << perms.astype(np.uint32)
+    return chip_bits.take(build_codebook().positions, axis=1).sum(axis=2, dtype=np.uint32)
+
+
+def embed_words(words: np.ndarray, stego_symbols: np.ndarray, perms: np.ndarray) -> np.ndarray:
+    """Flip each word's chips at its covert symbol's pattern, placed through its permutation."""
+    return words ^ pattern_masks(perms)[np.arange(len(words)), stego_symbols]
+
+
+def extract_diffs(
+    diffs: np.ndarray, perms: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Covert symbols, exact flags and weights of diff words (received XOR nearest code).
+
+    The symbol is the pattern at the least symmetric difference from the diff
+    (ties to the lowest symbol); only a zero difference is exact.
+    """
+    distances = np.bitwise_count(diffs[:, None] ^ pattern_masks(perms))
+    symbols = distances.argmin(axis=1).astype(np.uint8)
+    return symbols, distances.min(axis=1) == 0, np.bitwise_count(diffs)
+
+
+def _as_batch(permutation: tuple[int, ...]) -> np.ndarray:
+    return np.array([permutation], dtype=np.uint8)
 
 
 class ExtractResult(NamedTuple):
@@ -349,7 +372,8 @@ def embed_with_permutation(
     """Flip the carrier chips at the permuted pattern positions."""
     if not 0 <= stego_symbol < CODEBOOK_SIZE:
         raise ValueError(f"stego symbol out of range: {stego_symbol}")
-    return carrier.flip(permutation[p] for p in build_codebook().patterns[stego_symbol])
+    word = embed_words(np.array([carrier.word], np.uint32), stego_symbol, _as_batch(permutation))
+    return ChipSequence(int(word[0]))
 
 
 def embed(
@@ -377,19 +401,15 @@ def extract_with_permutation(
 ) -> ExtractResult:
     """Read the covert symbol back from the received word's diff set.
 
-    Despreads to the nearest standard code, unpermutes the differing
-    positions and takes the pattern at the least symmetric difference
-    (ties to the lowest symbol).  Only a zero difference is exact; any
+    Despreads to the nearest standard code and takes the codebook pattern,
+    placed through the permutation, at the least symmetric difference from
+    the differing chips (ties to the lowest symbol).  Only a zero difference is exact; any
     other is a fallback with exact=False, so the covert channel degrades
     instead of erasing.
     """
-    nearest = decode_chips(received)
-    inv = inverse_permutation(permutation)
-    code = standard_code_set().codes[nearest.symbol]
-    observed = sum(1 << inv[p] for p in received.diff_positions(code))
-    dists = [(observed ^ mask).bit_count() for mask in build_codebook().masks]
-    best = min(dists)
-    return ExtractResult(dists.index(best), best == 0, observed.bit_count())
+    diff = received.word ^ int(code_matrix()[decode_chips(received).symbol])
+    symbol, exact, weight = extract_diffs(np.array([diff], np.uint32), _as_batch(permutation))
+    return ExtractResult(int(symbol[0]), bool(exact[0]), int(weight[0]))
 
 
 def extract(

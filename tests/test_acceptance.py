@@ -21,7 +21,14 @@ from dsss_stego.analysis import (
     stego_alphabet_size,
 )
 from dsss_stego.channel import ChannelParams
-from dsss_stego.chipmap import code_matrix, code_set_stats, decode_chips, map_symbol, standard_code_set
+from dsss_stego.chipmap import (
+    code_matrix,
+    code_set_stats,
+    decode_chips,
+    map_symbol,
+    pack_chips,
+    standard_code_set,
+)
 from dsss_stego.pipeline import SimConfig, despread_stream, run_simulation
 from dsss_stego.stego import (
     KeySchedule,
@@ -81,7 +88,7 @@ def test_criterion_3_correction_radius():
     symbols = rng.integers(0, 16, n)
     weights = rng.integers(0, 6, n)
     ranks = rng.random((n, 32)).argsort(axis=1).argsort(axis=1)
-    flips = (ranks < weights[:, None]).astype(np.uint8)
+    flips = pack_chips(ranks < weights[:, None])
     words = code_matrix()[symbols] ^ flips
     decoded = despread_stream(words)
     errors = int((decoded != symbols).sum())

@@ -75,24 +75,24 @@ def test_transmit_deterministic_given_seed():
 def test_flip_rate_within_binomial_interval():
     n = 1_000_000
     p = 0.1
-    chips = np.zeros(n, dtype=np.uint8)
-    out, flips = transmit_stream(chips, ChannelParams.direct(p), make_rng(7))
-    assert flips == int(out.sum())
+    words = np.zeros(n // 32, dtype=np.uint32)
+    out, flips = transmit_stream(words, ChannelParams.direct(p), make_rng(7))
+    assert flips == int(np.bitwise_count(out).sum())
     sigma = math.sqrt(p * (1 - p) / n)
     assert abs(flips / n - p) < 3 * sigma
 
 
 def test_half_rate_noise_marginal_uniform():
     n = 400_000
-    chips = np.ones(n, dtype=np.uint8)
-    out, _ = transmit_stream(chips, ChannelParams.direct(0.5), make_rng(21))
-    assert abs(out.mean() - 0.5) < 3 * math.sqrt(0.25 / n)
+    words = np.full(n // 32, 0xFFFFFFFF, dtype=np.uint32)
+    out, _ = transmit_stream(words, ChannelParams.direct(0.5), make_rng(21))
+    assert abs(np.bitwise_count(out).sum() / n - 0.5) < 3 * math.sqrt(0.25 / n)
 
 
 def test_transmit_preserves_shape_and_type():
-    chips = np.zeros((10, 32), dtype=np.uint8)
-    out, flips = transmit_stream(chips, ChannelParams.direct(0.2), make_rng(3))
-    assert out.shape == chips.shape
-    assert out.dtype == np.uint8
-    assert flips == int(out.sum())
+    words = np.zeros(10, dtype=np.uint32)
+    out, flips = transmit_stream(words, ChannelParams.direct(0.2), make_rng(3))
+    assert out.shape == words.shape
+    assert out.dtype == np.uint32
+    assert flips == int(np.bitwise_count(out).sum())
     assert isinstance(transmit(map_symbol(0), ChannelParams.direct(0.2), make_rng(3)), ChipSequence)

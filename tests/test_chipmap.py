@@ -2,6 +2,7 @@ import random
 from itertools import combinations
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from dsss_stego.chipmap import (
@@ -9,11 +10,14 @@ from dsss_stego.chipmap import (
     ChipSequence,
     CodeSet,
     InvalidCodeSetError,
+    code_matrix,
     code_set_stats,
     decode_chips,
     hamming,
     map_symbol,
+    pack_chips,
     standard_code_set,
+    unpack_chips,
 )
 
 
@@ -85,8 +89,8 @@ def test_hamming_is_a_metric():
 
 def test_map_symbol_indexing_and_roundtrip():
     cs = standard_code_set()
-    assert map_symbol(0, cs) is cs.codes[0]
-    assert map_symbol(15, cs) is cs.codes[15]
+    assert map_symbol(0) is cs.codes[0]
+    assert map_symbol(15) is cs.codes[15]
     for s in range(16):
         assert decode_chips(map_symbol(s)) == (s, 0)
     for bad in (-1, 16):
@@ -106,7 +110,7 @@ def test_decode_exact_and_five_flips():
 def test_decode_tiebreak_prefers_lower_symbol():
     # midpoint word between codes 2 and 9: flip half their differing chips
     cs = standard_code_set()
-    diff = cs.codes[2].diff_positions(cs.codes[9])
+    diff = [i for i, c in enumerate(ChipSequence(cs.codes[2].word ^ cs.codes[9].word).chips) if c]
     assert len(diff) % 2 == 0
     mid = cs.codes[2].flip(diff[: len(diff) // 2])
     d2 = hamming(mid, cs.codes[2])
@@ -150,13 +154,28 @@ def test_string_round_trip_and_validation():
         ChipSequence.from_string("2" * 32)
 
 
+def test_code_words_and_chip_layout():
+    # chip i of a word is bit i: unpacking the code words gives the table's chips
+    words = code_matrix()
+    assert words.dtype == np.uint32 and words.shape == (16,)
+    assert ["".join(map(str, row)) for row in unpack_chips(words).tolist()] == list(CHIP_TABLE)
+    rng = np.random.default_rng(1)
+    words = rng.integers(0, 1 << 32, 500, dtype=np.uint32)
+    assert (pack_chips(unpack_chips(words)) == words).all()
+    rows = rng.integers(0, 2, (3, 7, 32), dtype=np.uint8)
+    assert pack_chips(rows).shape == (3, 7)
+    assert (unpack_chips(pack_chips(rows).reshape(-1)) == rows.reshape(-1, 32)).all()
+    for word, row in zip(words[:50].tolist(), unpack_chips(words[:50]).tolist()):
+        assert ChipSequence(word).chips == tuple(row)
+
+
 def test_chip_sequence_invariants():
-    seq = ChipSequence.from_chips([1, 0] * 16)
+    seq = ChipSequence.from_string("10" * 16)
     assert len(seq) == 32
     assert seq.chips[:4] == (1, 0, 1, 0)
     with pytest.raises(ValueError):
         seq.flip([32])
     with pytest.raises(ValueError):
-        ChipSequence.from_chips([1] * 31)
+        ChipSequence.from_string("1" * 31)
     with pytest.raises(AttributeError):
         seq.word = 0

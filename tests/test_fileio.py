@@ -15,33 +15,32 @@ from dsss_stego.fileio import (
 
 def test_header_is_13_bytes_and_single_symbol_file_is_17(tmp_path):
     path = tmp_path / "one.chips"
-    write_chip_stream(path, np.ones((1, 32), dtype=np.uint8))
+    write_chip_stream(path, np.array([0xFFFFFFFF], dtype=np.uint32))
     assert HEADER_SIZE == 13
     assert path.stat().st_size == 17
 
 
 def test_empty_stream_is_header_only(tmp_path):
     path = tmp_path / "empty.chips"
-    write_chip_stream(path, np.zeros((0, 32), dtype=np.uint8))
+    write_chip_stream(path, np.zeros(0, dtype=np.uint32))
     raw = path.read_bytes()
     assert raw == MAGIC + bytes([VERSION]) + struct.pack("<Q", 0)
-    assert read_chip_stream(path).shape == (0, 32)
+    assert read_chip_stream(path).shape == (0,)
 
 
 def test_round_trip(tmp_path):
     rng = np.random.default_rng(0)
-    chips = rng.integers(0, 2, (257, 32), dtype=np.uint8)
+    words = rng.integers(0, 1 << 32, 257, dtype=np.uint32)
     path = tmp_path / "stream.chips"
-    write_chip_stream(path, chips)
+    write_chip_stream(path, words)
     assert path.stat().st_size == 13 + 4 * 257
-    assert (read_chip_stream(path) == chips).all()
+    assert (read_chip_stream(path) == words).all()
 
 
 def test_chip_zero_is_msb_of_first_payload_byte(tmp_path):
-    chips = np.zeros((1, 32), dtype=np.uint8)
-    chips[0, 0] = 1
+    words = np.array([1], dtype=np.uint32)  # chip 0 is bit 0 of the word
     path = tmp_path / "msb.chips"
-    write_chip_stream(path, chips)
+    write_chip_stream(path, words)
     assert path.read_bytes()[HEADER_SIZE] == 0b1000_0000
 
 
@@ -83,4 +82,4 @@ def test_trailing_bytes_rejected(tmp_path):
 
 def test_write_rejects_bad_shape(tmp_path):
     with pytest.raises(ValueError):
-        write_chip_stream(tmp_path / "x", np.zeros((4, 16), dtype=np.uint8))
+        write_chip_stream(tmp_path / "x", np.zeros((4, 16), dtype=np.uint32))

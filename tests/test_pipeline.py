@@ -7,7 +7,6 @@ from dsss_stego.channel import ChannelParams
 from dsss_stego.chipmap import CHIP_TABLE, ChipSequence, code_matrix, decode_chips
 from dsss_stego.pipeline import (
     CapacityError,
-    FramingError,
     SimConfig,
     bits_to_symbols,
     decode_stream,
@@ -58,28 +57,46 @@ def test_bits_symbols_round_trip():
         bits_to_symbols(np.ones(5, dtype=np.uint8))
 
 
+def test_non_binary_bits_rejected():
+    # such values used to wrap: [32, 0, 0, 0] became symbol 0, [0, 0, 1, 2] became 4
+    for bad in ([32, 0, 0, 0], [0, 0, 1, 2], [0, 0, 0, -1], [0.5, 0, 0, 0]):
+        with pytest.raises(ValueError, match="0 or 1"):
+            bits_to_symbols(np.array(bad))
+    data = np.zeros(8, dtype=np.uint8)
+    with pytest.raises(ValueError, match="0 or 1"):
+        encode_stream(np.array([0, 0, 1, 2, 0, 0, 0, 0]), np.zeros(0, dtype=np.uint8), KEY, 1.0)
+    for covert in ([0, 1, 3, 0], [256, 0, 0, 0], [1, 2]):
+        with pytest.raises(ValueError, match="0 or 1"):
+            encode_stream(data, np.array(covert), KEY, 1.0)
+    with pytest.raises(ValueError, match="0 or 1"):
+        run_simulation(_config(num_symbols=2, payload_mode="fixed", data_bits=data + 2))
+
+
 def test_despread_matches_scalar_decoder():
     rng = np.random.default_rng(4)
-    words = rng.integers(0, 2, (2000, 32), dtype=np.uint8)
+    words = rng.integers(0, 1 << 32, 2000, dtype=np.uint32)
     vec = despread_stream(words)
-    for row, got in zip(words, vec):
-        assert decode_chips(ChipSequence.from_chips(int(b) for b in row)).symbol == got
+    codes = [int(c) for c in code_matrix()]
+    for word, got in zip(words.tolist(), vec):
+        assert decode_chips(ChipSequence(word)).symbol == got
+        # loop reference: first code at the least popcount distance
+        assert min(range(16), key=lambda s: ((word ^ codes[s]).bit_count(), s)) == got
 
 
 # -- encode -------------------------------------------------------------------
 
 def test_encode_without_embedding_is_standard_mapping():
     bits = np.array([0, 0, 1, 1], dtype=np.uint8)  # symbol 3
-    chips = encode_stream(bits, np.zeros(0, dtype=np.uint8), KEY, 0.0)
-    assert chips.shape == (1, 32)
-    assert "".join(str(b) for b in chips[0]) == CHIP_TABLE[3]
+    words = encode_stream(bits, np.zeros(0, dtype=np.uint8), KEY, 0.0)
+    assert words.shape == (1,)
+    assert ChipSequence(int(words[0])).to_string() == CHIP_TABLE[3]
 
 
 def test_encode_embedded_symbol_at_distance_five():
     data = np.array([1, 0, 0, 1], dtype=np.uint8)  # symbol 9
     stego = np.array([0, 1, 1, 0], dtype=np.uint8)
-    chips = encode_stream(data, stego, KEY, 1.0)
-    assert int((chips[0] ^ code_matrix()[9]).sum()) == 5
+    words = encode_stream(data, stego, KEY, 1.0)
+    assert int(np.bitwise_count(words[0] ^ code_matrix()[9])) == 5
 
 
 def test_encode_capacity_error_names_both_quantities():
@@ -92,26 +109,21 @@ def test_full_round_trip_without_noise():
     rng = np.random.default_rng(3)
     data = random_bits(rng, 4000)
     stego = random_bits(rng, 4000)
-    chips = encode_stream(data, stego, KEY, 1.0)
-    assert chips.shape == (1000, 32)
-    assert chips.size == 32_000
-    decoded = decode_stream(chips, KEY, 1.0)
+    words = encode_stream(data, stego, KEY, 1.0)
+    assert words.shape == (1000,)
+    assert 8 * words.nbytes == 32_000
+    decoded = decode_stream(words, KEY, 1.0)
     assert (decoded.data_bits == data).all()
     assert (decoded.stego_bits == stego).all()
     assert all(d.exact and d.weight == 5 for d in decoded.slots)
-
-
-def test_decode_framing_error():
-    with pytest.raises(FramingError):
-        decode_stream(np.zeros(33, dtype=np.uint8), KEY, 0.0)
 
 
 def test_decode_clean_stream_with_expectant_schedule():
     # nothing embedded, but the receiver expects rate 1
     rng = np.random.default_rng(5)
     data = random_bits(rng, 400)
-    chips = encode_stream(data, np.zeros(0, dtype=np.uint8), KEY, 1.0)
-    decoded = decode_stream(chips, KEY, 1.0)
+    words = encode_stream(data, np.zeros(0, dtype=np.uint8), KEY, 1.0)
+    decoded = decode_stream(words, KEY, 1.0)
     assert (decoded.data_bits == data).all()
     assert all((not d.exact) and d.weight == 0 for d in decoded.slots)
     assert not decoded.stego_bits.any()
@@ -128,8 +140,8 @@ def test_flips_within_radius_never_break_carrier():
             for start in range(0, 32, 3):
                 word = base.copy()
                 for off in range(k):
-                    word[(start + off) % 32] ^= 1
-                assert despread_stream(word[None, :])[0] == s
+                    word ^= np.uint32(1 << (start + off) % 32)
+                assert despread_stream(np.array([word]))[0] == s
 
 
 # -- simulation ----------------------------------------------------------------

@@ -7,7 +7,15 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from dsss_stego.chipmap import ChipSequence, decode_chips, hamming, map_symbol
+from dsss_stego.chipmap import (
+    ChipSequence,
+    decode_chips,
+    hamming,
+    map_symbol,
+    pack_chips,
+    standard_code_set,
+)
+from dsss_stego.pipeline import bits_to_symbols, decode_stream, encode_stream
 from dsss_stego.stego import (
     MIN_PATTERN_SEPARATION,
     PRIMARY_TAPS,
@@ -20,7 +28,7 @@ from dsss_stego.stego import (
     embed,
     embed_with_permutation,
     extract,
-    inverse_permutation,
+    extract_with_permutation,
     lfsr_bits,
     permutation_stream,
     rank_subset,
@@ -198,7 +206,7 @@ def test_permutation_is_bijection_with_inverse():
     for i in (0, 1, 7):
         perm = sched.permutation(i)
         assert sorted(perm) == list(range(32))
-        inv = inverse_permutation(perm)
+        inv = np.argsort(perm).tolist()
         assert tuple(inv[p] for p in perm) == tuple(range(32))
 
 
@@ -289,6 +297,39 @@ def test_extract_clean_code_reports_empty_diff():
     assert result.weight == 0
 
 
+def oracle_extract(word, perm):
+    # scalar reference: nearest code by a loop, unpermute the diff chips,
+    # least symmetric difference with each pattern's position mask
+    codes = [c.word for c in standard_code_set().codes]
+    dists = [(word ^ c).bit_count() for c in codes]
+    diff = word ^ codes[dists.index(min(dists))]
+    observed = sum(1 << p for p in range(32) if diff >> perm[p] & 1)
+    sym = [(observed ^ mask).bit_count() for mask in build_codebook().masks]
+    return sym.index(min(sym)), min(sym) == 0, diff.bit_count()
+
+
+def test_extraction_matches_scalar_oracle():
+    rng = np.random.default_rng(12)
+    key = StegoKey.from_hex("5A5A")
+    n = 600
+    words = encode_stream(
+        rng.integers(0, 2, 4 * n, dtype=np.uint8), rng.integers(0, 2, 4 * n, dtype=np.uint8),
+        key, 1.0,
+    )
+    noisy = np.concatenate((
+        words ^ pack_chips(rng.random((n, 32)) < 0.06),  # mostly 4-7 diff chips
+        rng.integers(0, 1 << 32, 200, dtype=np.uint32),  # far from every pattern: ties
+    ))
+    decoded = decode_stream(noisy, key, 1.0)
+    symbols = bits_to_symbols(decoded.stego_bits)
+    sched = KeySchedule(key)
+    for i, word in enumerate(noisy.tolist()):
+        perm = sched.permutation(i)
+        want = oracle_extract(word, perm)
+        assert (symbols[i], decoded.slots[i].exact, decoded.slots[i].weight) == want
+        assert extract_with_permutation(ChipSequence(word), perm) == want
+
+
 def test_extract_survives_one_extra_flip():
     rnd = random.Random(17)
     key = StegoKey.from_hex("BEEF")
@@ -317,8 +358,8 @@ def test_flip_positions_uniform_over_random_keys():
             perm = sched.permutation(i)
             carrier = map_symbol(rnd.randrange(16))
             out = embed_with_permutation(carrier, rnd.randrange(16), perm)
-            for p in carrier.diff_positions(out):
-                counts[p] += 1
+            for p, flipped in enumerate(ChipSequence(carrier.word ^ out.word).chips):
+                counts[p] += flipped
     expected = n_symbols * 5 / 32
     chi2 = sum((c - expected) ** 2 / expected for c in counts)
     assert chi2 < CHI2_CRIT_31_P99
