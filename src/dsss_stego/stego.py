@@ -14,17 +14,17 @@ Per-symbol scrambling permutes the 32 chip positions with a Fisher-Yates
 shuffle driven by a keyed LFSR bit stream.
 
 The keystream is made in bulk, bit-exact with stepping the registers one
-bit at a time: f(z)^(2^k) = f(z^(2^k)) over GF(2) lets numpy produce 2^k
-register bits per step (``lfsr_bits``).  A register's state is the next
-32 bits of its output stream, so a stream continues exactly from saved
-states.  One lean walk reads the rejection-sampled Fisher-Yates draws
-off 5-bit stream windows; the swaps then run over all symbols at once.
+bit at a time: a register is linear over GF(2), so each 2^14-bit span of
+its stream is an XOR of rows of a key-independent table (``_basis``), and
+its state, the next 32 bits, continues it exactly.  One flat walk reads
+the rejection-sampled Fisher-Yates draws; the swaps run over all symbols.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
@@ -46,6 +46,7 @@ SUBSET_COUNT = math.comb(CHIPS_PER_SYMBOL, PATTERN_WEIGHT)  # 201376
 PRIMARY_TAPS = (32, 22, 2, 1)
 SECONDARY_TAPS = (32, 30, 26, 25)
 SCHEDULE_TAPS = SECONDARY_TAPS
+_SPAN = 1 << 14  # stream bits made per XOR of basis rows (lfsr_bits)
 
 
 class InvalidCarrierError(ValueError):
@@ -160,7 +161,28 @@ def key_registers(key: StegoKey) -> tuple[int, int]:
     return seed_a, (~seed_a) & 0xFFFFFFFF  # nonzero: seed_a is never all-ones
 
 
-_INT_STRIDE, _MAX_STRIDE = 256, 1 << 14  # strides up to 256 run on a Python int
+@functools.lru_cache(maxsize=2)  # one table per tap set in use
+def _basis(taps: tuple[int, ...]) -> tuple[int, ...]:
+    """Row k: the first 32 + _SPAN output bits of the register seeded with 1 << k.
+
+    Row 31 is stepped out L = 2^k bits at a time: as f(z)^(2^k) = f(z^(2^k))
+    over GF(2), x[n + 32L] = XOR of x[n + mL].  Seed 1 << k outputs a 0 and
+    steps to 1 << (k - 1), XOR 1 << 31 if k is a lag m, so row k - 1 is
+    row k >> 1, XOR row 31 if k is a lag.
+    """
+    lags = [32 - t for t in taps]
+    x, n, stride = 1 << 31, 32, 1
+    while n < 32 + _SPAN + 31:  # each row down loses its top bit
+        stride *= 2 if n >= 64 * stride else 1
+        window, new = x >> (n - 32 * stride), 0
+        for m in lags:
+            new ^= window >> (m * stride)
+        x |= (new & ((1 << stride) - 1)) << n
+        n += stride
+    rows = [x]
+    for k in range(31, 0, -1):
+        rows.append((rows[-1] >> 1) ^ (x if k in lags else 0))
+    return tuple(row & ((1 << (32 + _SPAN)) - 1) for row in reversed(rows))
 
 
 def lfsr_bits(seed: int, taps: tuple[int, ...], count: int) -> np.ndarray:
@@ -169,33 +191,18 @@ def lfsr_bits(seed: int, taps: tuple[int, ...], count: int) -> np.ndarray:
     The 32-bit register shifts right, outputs its low bit and feeds back the
     parity of the tapped bits, so the stream x starts with the seed bits,
     LSB first, and x[n + 32] = XOR of x[n + m] for m = 32 - t over the taps.
-    Its state at stream position p is x[p:p + 32].  As f(z)^(2^k) = f(z^(2^k))
-    over GF(2), x[n + 32L] = XOR of x[n + mL] for every stride L = 2^k, so
-    one step makes L bits from the 32L before them.
+    Its state at stream position p is x[p:p + 32].  The register is linear
+    over GF(2), so the XOR of the `_basis` rows of a state's set bits is the
+    next _SPAN bits and, after them, the state the next span starts from.
     """
     if not 0 < seed < 1 << 32:
         raise ValueError(f"LFSR seed must be a nonzero 32-bit value, got {seed}")
-    lags = [32 - t for t in taps]
-    x, n, stride, head_bits = seed, 32, 1, min(count, 64 * _INT_STRIDE)
-    while n < head_bits:
-        stride *= 2 if n >= 64 * stride else 1
-        window, new = x >> (n - 32 * stride), 0
-        for m in lags:
-            new ^= window >> (m * stride)
-        x |= (new & ((1 << stride) - 1)) << n
-        n += stride
-    bits = np.empty(max(n, count) + _MAX_STRIDE + 8, dtype=np.uint8)
-    head = np.frombuffer(x.to_bytes((n + 7) // 8, "little"), dtype=np.uint8)
-    bits[: 8 * head.size] = np.unpackbits(head, bitorder="little")
-    while n < count:
-        stride *= 2 if n >= 64 * stride and stride < _MAX_STRIDE else 1
-        base = n - 32 * stride
-        first, second, *rest = [bits[base + m * stride :][:stride] for m in lags]
-        out = np.bitwise_xor(first, second, out=bits[n : n + stride])
-        for taps_at in rest:
-            out ^= taps_at
-        n += stride
-    return bits[:count]
+    rows, spans, state = _basis(tuple(taps)), [], seed
+    for _ in range(-(-count // _SPAN)):
+        acc = functools.reduce(operator.xor, [row for k, row in enumerate(rows) if state >> k & 1])
+        spans.append(acc.to_bytes(4 + _SPAN // 8, "little")[: _SPAN // 8])
+        state = acc >> _SPAN
+    return np.unpackbits(np.frombuffer(b"".join(spans), np.uint8), count=count, bitorder="little")
 
 
 def _state_at(bits: np.ndarray, pos: int) -> int:
@@ -203,51 +210,46 @@ def _state_at(bits: np.ndarray, pos: int) -> int:
     return int.from_bytes(np.packbits(bits[pos : pos + 32], bitorder="little").tobytes(), "little")
 
 
-# (bound i, window shift, draw width) of each Fisher-Yates swap, i = 31..1
-_DRAWS = tuple((i, 5 - i.bit_length(), i.bit_length()) for i in range(CHIPS_PER_SYMBOL - 1, 0, -1))
+# (window bound, draw width) of each Fisher-Yates swap i = 31..1: a w-bit draw
+# is the top w bits of a 5-bit stream window, rejected above i (no modulo bias)
+_DRAWS = tuple((((i + 1) << (5 - i.bit_length())) - 1, i.bit_length()) for i in range(31, 0, -1))
 _MEAN_BITS = 172        # keystream bits one permutation uses on average (171.8)
 _CHUNK = 4096           # permutations walked per stretch of generated stream
 
 
-def _permute(windows: memoryview, append) -> int:
-    """Append one permutation's 31 accepted draws and return the bits it used:
-    windows[p] holds stream bits p..p+4, MSB first, a w-bit draw is its top w
-    bits, and a draw above its bound is rejected (no modulo bias)."""
-    pos = 0
-    for i, shift, width in _DRAWS:
-        j = windows[pos] >> shift
-        pos += width
-        while j > i:
-            j = windows[pos] >> shift
-            pos += width
-        append(j)
-    return pos
+def _walk(windows: bytes, accepted: bytearray, count: int) -> tuple[int, int]:
+    """Append the accepted windows of up to `count` permutations; return how many
+    fit and the stream position after them.  windows[p] holds bits p..p+4, MSB first."""
+    append, base, pos, start = accepted.append, len(accepted), 0, 0
+    try:
+        for done in range(count):
+            start = pos
+            for bound, width in _DRAWS:
+                j = windows[pos]
+                pos += width
+                while j > bound:
+                    j = windows[pos]
+                    pos += width
+                append(j)
+    except IndexError:  # past the windows: drop the partial permutation
+        del accepted[base + len(_DRAWS) * done :]
+        return done, start
+    return count, pos
 
 
-def _walk(windows: memoryview, draws: bytearray, count: int, segment: int) -> tuple[int, int]:
-    """Draws of up to `count` permutations, each from at most `segment` windows (small
-    positions stay cached ints): returns how many fit and the stream position after them."""
-    start = 0
-    for done in range(count):
-        mark = len(draws)
-        try:
-            start += _permute(windows[start : start + segment], draws.append)
-        except IndexError:  # past the segment or the windows: drop a partial one
-            del draws[mark:]
-            return done, start
-    return count, start
-
-
-def _shuffle(draws: np.ndarray) -> np.ndarray:
-    """Fisher-Yates swaps of all rows at once: column c swaps 31 - c with its draw."""
-    perms = np.tile(np.arange(CHIPS_PER_SYMBOL, dtype=np.uint8), (len(draws), 1))
-    rows = np.arange(len(draws))
-    for col, (i, _, _) in enumerate(_DRAWS):
-        j = draws[:, col]
-        picked = perms[rows, j]
-        perms[rows, j] = perms[:, i]
-        perms[:, i] = picked
-    return perms
+def _shuffle(accepted: np.ndarray) -> np.ndarray:
+    """Fisher-Yates swaps of all rows at once: column c swaps 31 - c with its draw.
+    They run on the (32, n) transpose, where each swap reads a contiguous row."""
+    n = len(accepted)
+    perms = np.repeat(np.arange(CHIPS_PER_SYMBOL, dtype=np.uint8), n).reshape(CHIPS_PER_SYMBOL, n)
+    draws = accepted.T >> np.array([[5 - width] for _, width in _DRAWS], dtype=np.uint8)
+    flat, cols, stride = perms.reshape(-1), np.arange(n), np.intp(n)  # intp: no uint8 wrap
+    for row, i in zip(draws, range(CHIPS_PER_SYMBOL - 1, 0, -1)):
+        at = row * stride + cols
+        picked = flat[at]
+        flat[at] = perms[i]
+        perms[i] = picked
+    return np.ascontiguousarray(perms.T)
 
 
 def permutation_stream(state_a: int, state_b: int, count: int) -> tuple[np.ndarray, int, int]:
@@ -255,29 +257,27 @@ def permutation_stream(state_a: int, state_b: int, count: int) -> tuple[np.ndarr
 
     The keystream is the primary register's stream XOR the secondary's.
     Row k of the (count, 32) uint8 result maps codebook position p to chip
-    row[p].  The stream is made a stretch at a time, each continued from
-    the states after the last whole permutation of the one before; one
-    that falls short doubles the slack (and segment) of the next.
+    row[p].  The stream is made and walked a stretch at a time, each continued
+    from the states after the last whole permutation of the one before; one
+    that falls short doubles the slack of the next.
     """
-    draws = bytearray()
-    done, slack = 0, 512
+    accepted, done, slack = bytearray(), 0, 512
     while done < count:
         todo = min(count - done, _CHUNK)
         size = todo * (_MEAN_BITS + 8) + slack
-        keystream = lfsr_bits(state_a, PRIMARY_TAPS, size)
         b = lfsr_bits(state_b, SECONDARY_TAPS, size)
-        keystream ^= b
+        keystream = lfsr_bits(state_a, PRIMARY_TAPS, size) ^ b
         m = size - 36  # a walk ends by m + 4, leaving a whole state after it
         windows = keystream[:m].copy()
         for k in range(1, 5):
             windows <<= 1
             windows |= keystream[k : m + k]
-        walked, pos = _walk(memoryview(windows), draws, todo, slack)
+        walked, pos = _walk(windows.tobytes(), accepted, todo)
         slack *= 1 if walked == todo else 2
         done += walked
         state_b = _state_at(b, pos)
         state_a = _state_at(keystream, pos) ^ state_b
-    perms = _shuffle(np.frombuffer(draws, dtype=np.uint8).reshape(count, len(_DRAWS)))
+    perms = _shuffle(np.frombuffer(accepted, dtype=np.uint8).reshape(count, len(_DRAWS)))
     return perms, state_a, state_b
 
 

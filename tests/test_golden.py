@@ -146,7 +146,7 @@ ORACLE_KEYS = ["0001", "ACE1", "FFFF"] + [
 @pytest.mark.parametrize("taps", [PRIMARY_TAPS, SECONDARY_TAPS])
 @pytest.mark.parametrize("seed", [0x1, 0xACE153E, 0xFFFFFFFF, 0x80000000])
 def test_register_bits_match_scalar_oracle(seed, taps):
-    # 40 000 bits cross from the Python-int strides to the numpy ones
+    # 40 000 bits cross two span boundaries of the basis XOR
     want = oracle_bits(seed, taps, 40_000)
     assert lfsr_bits(seed, taps, 40_000).tolist() == want
     for count in (0, 1, 31, 32, 33, 16_385):

@@ -1,12 +1,19 @@
+import json
 import math
+import os
 import random
+import subprocess
+import sys
 import tracemalloc
 from functools import lru_cache
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import dsss_stego
+from dsss_stego import stego
 from dsss_stego.chipmap import (
     ChipSequence,
     decode_chips,
@@ -24,6 +31,8 @@ from dsss_stego.stego import (
     InvalidCarrierError,
     KeySchedule,
     StegoKey,
+    _basis,
+    _SPAN,
     build_codebook,
     embed,
     embed_with_permutation,
@@ -34,6 +43,8 @@ from dsss_stego.stego import (
     rank_subset,
     unrank_subset,
 )
+
+from test_golden import oracle_bits
 
 # df=31 chi-square critical value at the 1% significance level
 CHI2_CRIT_31_P99 = 52.1914
@@ -183,6 +194,79 @@ def test_keystream_memory_bounded():
         tracemalloc.stop()
     assert sched.symbol_counter >= 100_000
     assert retained < 1 << 20
+
+
+@pytest.mark.parametrize("taps", [PRIMARY_TAPS, SECONDARY_TAPS])
+@pytest.mark.parametrize("seed", [0x1, 0x80000000, 0xFFFFFFFF])
+def test_register_bits_exact_at_span_edges(seed, taps):
+    # test_golden covers _SPAN + 1 and two whole boundaries; these sit on either side
+    counts = (_SPAN - 1, _SPAN, _SPAN + 32, 3 * _SPAN + 5)
+    want = oracle_bits(seed, taps, max(counts))
+    for count in counts:
+        assert lfsr_bits(seed, taps, count).tolist() == want[:count]
+
+
+@pytest.mark.parametrize("taps", [PRIMARY_TAPS, SECONDARY_TAPS])
+def test_basis_rows_are_one_hot_streams(taps):
+    rows = _basis(taps)
+    assert len(rows) == 32
+    for k, row in enumerate(rows):
+        assert row.bit_length() <= 32 + _SPAN
+        bits = [(row >> i) & 1 for i in range(32 + _SPAN)]
+        assert bits == oracle_bits(1 << k, taps, 32 + _SPAN)
+
+
+def test_basis_lazy_and_bounded():
+    # a fresh interpreter: importing builds no table, a covert simulation
+    # builds at most one per tap set, and together they stay small
+    script = """
+import json, sys
+import dsss_stego
+from dsss_stego import stego
+from dsss_stego.channel import ChannelParams
+at_import = stego._basis.cache_info().currsize
+dsss_stego.run_simulation(dsss_stego.SimConfig(
+    num_symbols=500, channel=ChannelParams.from_snr_db(0.0),
+    key=dsss_stego.StegoKey.from_hex("ACE1"), embed_rate=0.5, rng_seed=1))
+after = stego._basis.cache_info().currsize
+tables = [stego._basis(t) for t in {stego.PRIMARY_TAPS, stego.SECONDARY_TAPS}]
+print(json.dumps({
+    "at_import": at_import, "after": after, "misses": stego._basis.cache_info().misses,
+    "bytes": sum(sys.getsizeof(t) + sum(map(sys.getsizeof, t)) for t in tables)}))
+"""
+    src = str(Path(dsss_stego.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
+    info = json.loads(out.stdout)
+    assert info["at_import"] == 0
+    assert info["after"] <= 2 and info["misses"] == info["after"]
+    assert info["bytes"] < 256 * 1024
+
+
+def test_stretch_too_short_for_one_permutation_grows(monkeypatch):
+    # a first stretch of 84 windows holds no whole permutation; the slack must
+    # grow until one fits, and the output must not depend on where stretches end
+    states = stego.key_registers(StegoKey.from_hex("ACE1"))
+    want, *want_states = permutation_stream(*states, 5)
+    monkeypatch.setattr(stego, "_CHUNK", 1)
+    monkeypatch.setattr(stego, "_MEAN_BITS", -400)
+    lfsr, walk, streams, walked = stego.lfsr_bits, stego._walk, [], []
+
+    def counted_lfsr(*args):
+        streams.append(args)
+        assert len(streams) < 100, "the stretch never grows"
+        return lfsr(*args)
+
+    def recorded_walk(*args):
+        result = walk(*args)
+        walked.append(result[0])
+        return result
+
+    monkeypatch.setattr(stego, "lfsr_bits", counted_lfsr)
+    monkeypatch.setattr(stego, "_walk", recorded_walk)
+    got, *got_states = permutation_stream(*states, 5)
+    assert walked[0] == 0
+    assert np.array_equal(got, want) and got_states == want_states
 
 
 # -- keyed permutations ------------------------------------------------------
