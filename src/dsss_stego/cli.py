@@ -33,6 +33,7 @@ from .pipeline import (
 from .stego import StegoKey, build_codebook
 
 _SEED_STRIDE = 0x9E3779B97F4A7C15  # splitmix64 increment, for per-point seeds
+_MAX_RANGE_VALUES = 100_000  # a start:stop:step range is expanded value by value
 
 
 def _fmt(x: float) -> str:
@@ -78,6 +79,8 @@ def _float_list(parse_one):
             raise argparse.ArgumentTypeError(f"range needs start:stop:step: {text!r}")
         start, stop = parse_one(parts[0]), parse_one(parts[1])
         step = _bounded(float, "range step", 1e-9)(parts[2])
+        if (stop - start) / step + 1 > _MAX_RANGE_VALUES:
+            raise argparse.ArgumentTypeError(f"range over {_MAX_RANGE_VALUES} values: {text!r}")
         values: list[float] = []
         k = 0
         while start + k * step <= stop + 1e-12:

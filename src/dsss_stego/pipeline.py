@@ -26,6 +26,7 @@ from .stego import (
 )
 
 _GROUP_WEIGHTS = np.array([8, 4, 2, 1], dtype=np.uint8)  # first bit is the MSB
+SlotPerms = tuple[np.ndarray, np.ndarray]  # (ascending scheduled slots, their (S, 32) perms)
 
 
 class CapacityError(ValueError):
@@ -59,6 +60,13 @@ def embedding_schedule(key: StegoKey, embed_rate: float, num_symbols: int) -> np
     return (draws / 65536.0) < embed_rate
 
 
+def slot_permutations(key: StegoKey, slots: np.ndarray) -> np.ndarray:
+    """Keyed permutations of ascending stream slots, one (32,) row each."""
+    if slots.size == 0:
+        return np.zeros((0, CHIPS_PER_SYMBOL), dtype=np.uint8)
+    return permutation_stream(*key_registers(key), int(slots[-1]) + 1)[0][slots]
+
+
 def bits_to_symbols(bits: np.ndarray) -> np.ndarray:
     """Group bits 4 at a time into symbol values, first bit as the MSB."""
     bits = np.asarray(bits)
@@ -82,17 +90,22 @@ def encode_stream(
     stego_bits: np.ndarray,
     key: StegoKey,
     embed_rate: float,
+    *,
+    perms: SlotPerms | None = None,
 ) -> np.ndarray:
     """Spread a data bit stream, embedding covert bits at scheduled slots.
 
     Covert bits fill the scheduled slots 4 at a time in stream order; a
     trailing partial group is zero-padded, and scheduled slots beyond the
-    payload are transmitted clean.  Returns (N,) uint32 chip words.
+    payload are transmitted clean.  Returns (N,) uint32 chip words.  Alone
+    it derives permutations up to the last payload slot; ``perms=(slots,
+    permutations)`` passes in those of the same key, rate and length.
     """
     symbols = bits_to_symbols(data_bits)
     words = code_matrix()[symbols]
-    schedule = embedding_schedule(key, embed_rate, symbols.size)
-    slots = np.nonzero(schedule)[0]
+    if perms is None:
+        perms = np.nonzero(embedding_schedule(key, embed_rate, symbols.size))[0], None
+    slots, slot_perms = perms
     stego_bits = np.asarray(stego_bits)
     capacity = BITS_PER_SYMBOL * slots.size
     if stego_bits.size > capacity:
@@ -105,8 +118,10 @@ def encode_stream(
     padding = np.zeros(-stego_bits.size % BITS_PER_SYMBOL, dtype=np.uint8)
     stego_symbols = bits_to_symbols(np.concatenate((stego_bits.reshape(-1), padding)))
     rows = slots[: stego_symbols.size]
-    perms, _, _ = permutation_stream(*key_registers(key), int(rows[-1]) + 1)
-    words[rows] = embed_words(words[rows], stego_symbols, perms[rows])
+    if slot_perms is not None and len(slot_perms) < rows.size:
+        raise ValueError(f"perms has {len(slot_perms)} rows, the payload needs {rows.size}")
+    row_perms = slot_permutations(key, rows) if slot_perms is None else slot_perms[: rows.size]
+    words[rows] = embed_words(words[rows], stego_symbols, row_perms)
     return words
 
 
@@ -117,17 +132,20 @@ class DecodedStream:
     slots: list[SlotDiagnostic]
 
 
-def decode_stream(words: np.ndarray, key: StegoKey, embed_rate: float) -> DecodedStream:
-    """Despread (N,) uint32 chip words and extract covert symbols at scheduled slots."""
+def decode_stream(
+    words: np.ndarray, key: StegoKey, embed_rate: float, *, perms: SlotPerms | None = None
+) -> DecodedStream:
+    """Despread (N,) uint32 words and extract covert symbols; ``perms`` as in encode_stream."""
     decoded_symbols = despread_stream(words)
     data_bits = symbols_to_bits(decoded_symbols)
-    schedule = embedding_schedule(key, embed_rate, len(words))
-    slot_indices = np.nonzero(schedule)[0]
-    if slot_indices.size == 0:
-        return DecodedStream(data_bits, np.zeros(0, dtype=np.uint8), [])
-    perms, _, _ = permutation_stream(*key_registers(key), int(slot_indices[-1]) + 1)
+    if perms is None:
+        slot_indices = np.nonzero(embedding_schedule(key, embed_rate, len(words)))[0]
+        perms = slot_indices, slot_permutations(key, slot_indices)
+    slot_indices, slot_perms = perms
+    if len(slot_perms) != slot_indices.size:
+        raise ValueError(f"perms has {len(slot_perms)} rows for {slot_indices.size} slots")
     diffs = words[slot_indices] ^ code_matrix()[decoded_symbols[slot_indices]]
-    stego_symbols, exact, weight = extract_diffs(diffs, perms[slot_indices])
+    stego_symbols, exact, weight = extract_diffs(diffs, slot_perms)
     diagnostics = list(map(SlotDiagnostic, slot_indices.tolist(), exact.tolist(), weight.tolist()))
     return DecodedStream(data_bits, symbols_to_bits(stego_symbols), diagnostics)
 
@@ -229,11 +247,13 @@ class SimReport:
 
 
 def run_simulation(config: SimConfig) -> SimReport:
-    """Generate payloads, encode, push through the channel, decode, tally."""
+    """Generate payloads, encode, push through the channel, decode, tally.
+    The schedule and the slots' permutations are derived once, for both ends."""
     rng = make_rng(config.rng_seed)
     n = config.num_symbols
-    schedule = embedding_schedule(config.key, config.embed_rate, n)
-    capacity = BITS_PER_SYMBOL * int(schedule.sum())
+    slots = np.nonzero(embedding_schedule(config.key, config.embed_rate, n))[0]
+    perms = slots, slot_permutations(config.key, slots)
+    capacity = BITS_PER_SYMBOL * slots.size
     if config.payload_mode == "random":
         data_bits = rng.integers(0, 2, BITS_PER_SYMBOL * n, dtype=np.uint8)
         stego_bits = rng.integers(0, 2, capacity, dtype=np.uint8)
@@ -245,22 +265,19 @@ def run_simulation(config: SimConfig) -> SimReport:
                 f"fixed payload has {data_bits.size} bits, expected {BITS_PER_SYMBOL * n}"
             )
     sent_symbols = bits_to_symbols(data_bits)
-    words = encode_stream(data_bits, stego_bits, config.key, config.embed_rate)
+    words = encode_stream(data_bits, stego_bits, config.key, config.embed_rate, perms=perms)
     received, chip_errors = transmit_stream(words, config.channel, rng)
-    decoded = decode_stream(received, config.key, config.embed_rate)
+    decoded = decode_stream(received, config.key, config.embed_rate, perms=perms)
     decoded_symbols = bits_to_symbols(decoded.data_bits)
     symbol_errors = int((decoded_symbols != sent_symbols).sum())
     bit_errors = int(np.bitwise_count(decoded_symbols ^ sent_symbols).sum())
 
     # covert stats cover only slots that actually carried payload bits
     n_stego = stego_bits.size // BITS_PER_SYMBOL
-    stego_errors = 0
-    stego_exact = 0
-    if n_stego:
-        truth = bits_to_symbols(stego_bits[: 4 * n_stego])
-        got = bits_to_symbols(decoded.stego_bits)[:n_stego]
-        stego_errors = int((got != truth).sum())
-        stego_exact = sum(1 for d in decoded.slots[:n_stego] if d.exact)
+    truth = bits_to_symbols(stego_bits[: 4 * n_stego])
+    got = bits_to_symbols(decoded.stego_bits)[:n_stego]
+    stego_errors = int((got != truth).sum())
+    stego_exact = sum(1 for d in decoded.slots[:n_stego] if d.exact)
 
     return SimReport(
         num_symbols=n,

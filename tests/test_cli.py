@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from dsss_stego.analysis import ber_ieee
+from dsss_stego import cli
 from dsss_stego.cli import main
 
 
@@ -242,6 +243,16 @@ def test_non_finite_or_unusable_numbers_are_usage_errors():
     assert run_cli("simulate", "--symbols", "10", "--snr-db", "-4000") == 2
     assert run_cli("simulate", "--symbols", "10", "--p-chip", "0", "--seed", "-1") == 2
     assert run_cli("analytic", "--snr-db", "inf:inf:1") == 2
+
+
+def test_oversized_range_is_usage_error(tmp_path, capsys):
+    # about 1e9 values: expanding them one by one would exhaust memory
+    out = tmp_path / "curve.csv"
+    assert run_cli("analytic", "--snr-db", "0:1:1e-9", "--out", str(out)) == 2
+    assert "range over 100000 values" in capsys.readouterr().err
+    assert not out.exists()
+    values = cli._parse_snr_list("0:0.99999:1e-5")  # exactly at the limit
+    assert len(values) == 100_000 and values[-1] == 0.99999
 
 
 def test_internal_value_error_is_not_a_data_error(monkeypatch):

@@ -41,6 +41,14 @@ PINS = {
     "report.sim-covert": "2ced008cca67795efc91d38ac78054d6fc8c7ad9555380dbe501428f9ef558e9",
 }
 
+# More simulate reports, taken before run_simulation shared one keyed stream
+# between its encoder and decoder.
+REPORT_PINS = {
+    "fixed-prefix": "137e288da1e84e0f4d35903c0436ed1fb77d6168c4e96da620d4f0faff03886f",
+    "rate1-6dB": "ee1f54535a3a28afd7f485e82baec4ec8047fc7a2b277a00e078167cc0ddd1e0",
+    "p-chip-0.2": "27cf9767eee0bc72b9f8d012367b3a0246bb0db950f9c7d2bce1a4e81d16ecd9",
+}
+
 
 def sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
@@ -96,6 +104,30 @@ def test_simulation_report_pinned(name, num_symbols, embed_rate):
         )
     )
     assert sha(report.as_text().encode()) == PINS[f"report.{name}"]
+
+
+@pytest.mark.parametrize(
+    "name, kwargs",
+    [
+        # 101 covert symbols against about 250 slots: the encoder embeds at a
+        # strict prefix of the scheduled slots; 402 bits also need padding
+        (
+            "fixed-prefix",
+            dict(
+                num_symbols=1000, channel=ChannelParams.from_snr_db(2.0), embed_rate=0.25,
+                payload_mode="fixed", data_bits=fixed_bits("data", 4000),
+                stego_bits=fixed_bits("stego", 402),
+            ),
+        ),
+        ("rate1-6dB", dict(num_symbols=600, channel=ChannelParams.from_snr_db(6), embed_rate=1.0)),
+        ("p-chip-0.2", dict(num_symbols=2000, channel=ChannelParams.direct(0.2), embed_rate=0.5)),
+    ],
+)
+def test_more_simulation_reports_pinned(name, kwargs):
+    report = dsss_stego.run_simulation(
+        dsss_stego.SimConfig(key=dsss_stego.StegoKey.from_hex(REF_KEY), rng_seed=2011, **kwargs)
+    )
+    assert sha(report.as_text().encode()) == REPORT_PINS[name]
 
 
 # -- scalar oracle: the registers stepped one bit at a time -------------------

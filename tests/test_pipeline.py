@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from dsss_stego import pipeline
 from dsss_stego.channel import ChannelParams
 from dsss_stego.chipmap import CHIP_TABLE, ChipSequence, code_matrix, decode_chips
 from dsss_stego.pipeline import (
@@ -127,6 +128,65 @@ def test_decode_clean_stream_with_expectant_schedule():
     assert (decoded.data_bits == data).all()
     assert all((not d.exact) and d.weight == 0 for d in decoded.slots)
     assert not decoded.stego_bits.any()
+
+
+# -- one keyed stream per transmission ------------------------------------------
+
+def _count_calls(monkeypatch, name):
+    calls = []
+    original = getattr(pipeline, name)
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(pipeline, name, counted)
+    return calls
+
+
+def test_simulation_derives_schedule_and_permutations_once(monkeypatch):
+    streams = _count_calls(monkeypatch, "permutation_stream")
+    schedules = _count_calls(monkeypatch, "embedding_schedule")
+    run_simulation(_config(num_symbols=500, channel=ChannelParams.direct(0.05), embed_rate=0.5))
+    assert (len(streams), len(schedules)) == (1, 1)
+    run_simulation(_config(num_symbols=500, embed_rate=0.0))
+    assert len(streams) == 1
+
+
+def test_standalone_encoder_derives_only_up_to_its_payload(monkeypatch):
+    streams = _count_calls(monkeypatch, "permutation_stream")
+    data = random_bits(np.random.default_rng(6), 4000)  # 1000 symbols
+    encode_stream(data, np.ones(12, dtype=np.uint8), KEY, 1.0)
+    assert [args[-1] for args in streams] == [3]
+
+
+def test_shared_permutations_match_standalone_derivation():
+    rng = np.random.default_rng(7)
+    data, stego = random_bits(rng, 4000), random_bits(rng, 600)
+    slots = np.nonzero(embedding_schedule(KEY, 0.4, 1000))[0]
+    perms = (slots, pipeline.slot_permutations(KEY, slots))
+    words = encode_stream(data, stego, KEY, 0.4)
+    assert (encode_stream(data, stego, KEY, 0.4, perms=perms) == words).all()
+    alone, shared = decode_stream(words, KEY, 0.4), decode_stream(words, KEY, 0.4, perms=perms)
+    assert (shared.stego_bits == alone.stego_bits).all() and shared.slots == alone.slots
+    assert (alone.stego_bits[:600] == stego).all()
+
+
+def test_encoder_rejects_perms_short_of_the_payload():
+    data = random_bits(np.random.default_rng(8), 400)  # 100 symbols, all slots at rate 1
+    slots = np.arange(100)
+    perms = (slots, pipeline.slot_permutations(KEY, slots)[:2])
+    with pytest.raises(ValueError, match=r"perms has 2 rows, the payload needs 3"):
+        encode_stream(data, np.ones(12, dtype=np.uint8), KEY, 1.0, perms=perms)
+
+
+def test_decoder_rejects_perms_of_another_slot_count():
+    # one row would broadcast through extract_diffs and give wrong symbols
+    words = encode_stream(random_bits(np.random.default_rng(9), 400), np.zeros(0), KEY, 1.0)
+    slots = np.arange(100)
+    perms = (slots, pipeline.slot_permutations(KEY, slots)[:1])
+    with pytest.raises(ValueError, match=r"perms has 1 rows for 100 slots"):
+        decode_stream(words, KEY, 1.0, perms=perms)
 
 
 # -- correction radius through the stream path --------------------------------
