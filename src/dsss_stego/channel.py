@@ -34,14 +34,11 @@ class ChannelParams:
     """Independent per-chip flip probability, optionally derived from SNR."""
 
     p_chip: float
-    origin: str = "direct"
     snr_db: float | None = None
 
     def __post_init__(self):
         if not 0.0 <= self.p_chip <= 0.5:
             raise ValueError(f"p_chip must be in [0, 0.5], got {self.p_chip}")
-        if self.origin not in ("direct", "snr"):
-            raise ValueError(f"unknown origin {self.origin!r}")
 
     @classmethod
     def direct(cls, p_chip: float) -> "ChannelParams":
@@ -50,7 +47,7 @@ class ChannelParams:
     @classmethod
     def from_snr_db(cls, snr_db: float) -> "ChannelParams":
         p = snr_to_chip_error_prob(snr_db_to_linear(snr_db))
-        return cls(p_chip=p, origin="snr", snr_db=snr_db)
+        return cls(p_chip=p, snr_db=snr_db)
 
 
 def make_rng(seed: int) -> np.random.Generator:

@@ -220,7 +220,7 @@ def _cmd_decode(args) -> int:
         Path(args.stego_out).write_bytes(np.packbits(decoded.stego_bits).tobytes())
     if args.diag_out is not None:
         rows = ["slot_index,exact,diff_weight"]
-        rows += [f"{d.symbol_index},{int(d.exact)},{d.weight}" for d in decoded.slots]
+        rows += ["%d,%d,%d" % row for row in decoded.slots.tolist()]  # symbol_index, exact, weight
         Path(args.diag_out).write_text("\n".join(rows) + "\n")
     return 0
 

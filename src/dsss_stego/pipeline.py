@@ -8,7 +8,6 @@ are bit-identical for identical configurations (seed included).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
@@ -27,16 +26,11 @@ from .stego import (
 
 _GROUP_WEIGHTS = np.array([8, 4, 2, 1], dtype=np.uint8)  # first bit is the MSB
 SlotPerms = tuple[np.ndarray, np.ndarray]  # (ascending scheduled slots, their (S, 32) perms)
+_SLOT_DTYPE = np.dtype([("symbol_index", np.intp), ("exact", bool), ("weight", np.uint8)])
 
 
 class CapacityError(ValueError):
     """Covert payload exceeds what the embedding schedule can carry."""
-
-
-class SlotDiagnostic(NamedTuple):
-    symbol_index: int
-    exact: bool
-    weight: int
 
 
 def embedding_schedule(key: StegoKey, embed_rate: float, num_symbols: int) -> np.ndarray:
@@ -129,7 +123,7 @@ def encode_stream(
 class DecodedStream:
     data_bits: np.ndarray
     stego_bits: np.ndarray  # 4 bits per scheduled slot, stream order
-    slots: list[SlotDiagnostic]
+    slots: np.recarray  # one record per scheduled slot: symbol_index, exact, weight
 
 
 def decode_stream(
@@ -146,8 +140,8 @@ def decode_stream(
         raise ValueError(f"perms has {len(slot_perms)} rows for {slot_indices.size} slots")
     diffs = words[slot_indices] ^ code_matrix()[decoded_symbols[slot_indices]]
     stego_symbols, exact, weight = extract_diffs(diffs, slot_perms)
-    diagnostics = list(map(SlotDiagnostic, slot_indices.tolist(), exact.tolist(), weight.tolist()))
-    return DecodedStream(data_bits, symbols_to_bits(stego_symbols), diagnostics)
+    slots = np.rec.fromarrays((slot_indices, exact, weight), dtype=_SLOT_DTYPE)
+    return DecodedStream(data_bits, symbols_to_bits(stego_symbols), slots)
 
 
 @dataclass(frozen=True)
@@ -277,7 +271,7 @@ def run_simulation(config: SimConfig) -> SimReport:
     truth = bits_to_symbols(stego_bits[: 4 * n_stego])
     got = bits_to_symbols(decoded.stego_bits)[:n_stego]
     stego_errors = int((got != truth).sum())
-    stego_exact = sum(1 for d in decoded.slots[:n_stego] if d.exact)
+    stego_exact = int(decoded.slots.exact[:n_stego].sum())
 
     return SimReport(
         num_symbols=n,

@@ -25,6 +25,7 @@ from __future__ import annotations
 import functools
 import math
 import operator
+import re
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
@@ -141,7 +142,7 @@ class StegoKey:
 
     @classmethod
     def from_hex(cls, text: str) -> "StegoKey":
-        if len(text) != 4:
+        if not re.fullmatch("[0-9A-Fa-f]{4}", text):
             raise ValueError(f"key must be 4 hex digits, got {text!r}")
         return cls(int(text, 16))
 
@@ -333,7 +334,8 @@ def pattern_masks(perms: np.ndarray) -> np.ndarray:
     Row k of perms maps codebook position p to chip perms[k, p].
     """
     chip_bits = np.uint32(1) << perms.astype(np.uint32)
-    return chip_bits.take(build_codebook().positions, axis=1).sum(axis=2, dtype=np.uint32)
+    columns = build_codebook().positions.T  # a pattern's 5 chips are distinct: OR adds them
+    return functools.reduce(operator.ior, (chip_bits.take(column, axis=1) for column in columns))
 
 
 def embed_words(words: np.ndarray, stego_symbols: np.ndarray, perms: np.ndarray) -> np.ndarray:

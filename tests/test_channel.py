@@ -47,7 +47,7 @@ def test_db_conversion():
     assert snr_db_to_linear(0.0) == 1.0
     assert snr_db_to_linear(10.0) == pytest.approx(10.0)
     p = ChannelParams.from_snr_db(0.0)
-    assert p.origin == "snr"
+    assert p.snr_db == 0.0
     assert p.p_chip == pytest.approx(0.5 * math.erfc(1.0))
 
 

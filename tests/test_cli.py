@@ -210,6 +210,7 @@ def test_missing_input_file_is_data_error(tmp_path, capsys):
 def test_bad_key_is_usage_error():
     assert run_cli("simulate", "--symbols", "10", "--p-chip", "0", "--key", "ZZZZ") == 2
     assert run_cli("simulate", "--symbols", "10", "--p-chip", "0", "--key", "0000") == 2
+    assert run_cli("simulate", "--symbols", "10", "--p-chip", "0", "--key", "0x1F") == 2
 
 
 def test_symbols_below_one_is_usage_error(capsys):

@@ -17,7 +17,8 @@ import pytest
 
 import dsss_stego
 from dsss_stego import stego
-from dsss_stego.channel import ChannelParams
+from dsss_stego.channel import ChannelParams, make_rng, transmit_stream
+from dsss_stego.cli import main
 from dsss_stego.fileio import write_chip_stream
 from dsss_stego.stego import (
     PRIMARY_TAPS,
@@ -48,6 +49,10 @@ REPORT_PINS = {
     "rate1-6dB": "ee1f54535a3a28afd7f485e82baec4ec8047fc7a2b277a00e078167cc0ddd1e0",
     "p-chip-0.2": "27cf9767eee0bc72b9f8d012367b3a0246bb0db950f9c7d2bce1a4e81d16ecd9",
 }
+
+# The ``decode --diag-out`` sidecar of a noisy chip file, taken while each
+# decoded slot was still one Python object.
+DIAG_PIN = "d98455bfadef30407ce7854d0405507212d9b681526ca0f0c6cd3e75f6ec4e69"
 
 
 def sha(data: bytes) -> str:
@@ -128,6 +133,24 @@ def test_more_simulation_reports_pinned(name, kwargs):
         dsss_stego.SimConfig(key=dsss_stego.StegoKey.from_hex(REF_KEY), rng_seed=2011, **kwargs)
     )
     assert sha(report.as_text().encode()) == REPORT_PINS[name]
+
+
+def test_decode_diag_csv_pinned(tmp_path):
+    # 251 covert symbols against about 400 slots, through a noisy channel:
+    # the sidecar holds exact, nearest-pattern and unfilled (",0,0") rows
+    key = dsss_stego.StegoKey.from_hex(REF_KEY)
+    words = dsss_stego.encode_stream(fixed_bits("data", 4000), fixed_bits("stego", 1002), key, 0.4)
+    noisy, _ = transmit_stream(words, ChannelParams.direct(0.05), make_rng(2011))
+    chips, diag = tmp_path / "noisy.chip", tmp_path / "diag.csv"
+    write_chip_stream(chips, noisy)
+    assert main([
+        "decode", "--in", str(chips), "--key", REF_KEY, "--embed-rate", "0.4",
+        "--data-out", str(tmp_path / "data.out"), "--diag-out", str(diag),
+    ]) == 0
+    rows = diag.read_text().splitlines()[1:]
+    flags = {row.split(",", 1)[1] for row in rows}
+    assert {"1,5", "0,0"} <= flags and any(f.startswith("0,") and f != "0,0" for f in flags)
+    assert sha(diag.read_bytes()) == DIAG_PIN
 
 
 # -- scalar oracle: the registers stepped one bit at a time -------------------

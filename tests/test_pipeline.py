@@ -168,7 +168,7 @@ def test_shared_permutations_match_standalone_derivation():
     words = encode_stream(data, stego, KEY, 0.4)
     assert (encode_stream(data, stego, KEY, 0.4, perms=perms) == words).all()
     alone, shared = decode_stream(words, KEY, 0.4), decode_stream(words, KEY, 0.4, perms=perms)
-    assert (shared.stego_bits == alone.stego_bits).all() and shared.slots == alone.slots
+    assert (shared.stego_bits == alone.stego_bits).all() and (shared.slots == alone.slots).all()
     assert (alone.stego_bits[:600] == stego).all()
 
 

@@ -22,7 +22,7 @@ from dsss_stego.chipmap import (
     pack_chips,
     standard_code_set,
 )
-from dsss_stego.pipeline import bits_to_symbols, decode_stream, encode_stream
+from dsss_stego.pipeline import bits_to_symbols, decode_stream, encode_stream, slot_permutations
 from dsss_stego.stego import (
     MIN_PATTERN_SEPARATION,
     PRIMARY_TAPS,
@@ -196,6 +196,21 @@ def test_keystream_memory_bounded():
     assert retained < 1 << 20
 
 
+def test_decode_diagnostics_memory_bounded():
+    # per-slot diagnostics are a few bytes each, not a Python object per slot
+    key, slots = StegoKey.from_hex("ACE1"), np.arange(100_000)
+    perms = slots, slot_permutations(key, slots)  # derived untraced: the walk is slow under it
+    words = encode_stream(np.zeros(400_000, dtype=np.uint8), [], key, 1.0, perms=perms)
+    tracemalloc.start()
+    try:
+        decoded = decode_stream(words, key, 1.0, perms=perms)
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(decoded.slots) == 100_000
+    assert retained < 4 << 20
+
+
 @pytest.mark.parametrize("taps", [PRIMARY_TAPS, SECONDARY_TAPS])
 @pytest.mark.parametrize("seed", [0x1, 0x80000000, 0xFFFFFFFF])
 def test_register_bits_exact_at_span_edges(seed, taps):
@@ -281,6 +296,9 @@ def test_key_hex_round_trip():
         StegoKey.from_hex("XYZ1")
     with pytest.raises(ValueError):
         StegoKey.from_hex("ACE10")
+    for lax in ("0x1F", " 1F ", "+01F", "1_2F", "\u0661\u0662\u0663\u0664", "ACE1\n"):
+        with pytest.raises(ValueError):
+            StegoKey.from_hex(lax)
     with pytest.raises(ValueError):
         StegoKey(0)
 
