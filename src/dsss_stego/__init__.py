@@ -23,7 +23,6 @@ from .analysis import (
 from .channel import ChannelParams, make_rng, snr_to_chip_error_prob, transmit
 from .chipmap import (
     ChipSequence,
-    CodeSet,
     CodeSetStats,
     DecodeResult,
     code_set_stats,

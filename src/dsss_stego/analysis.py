@@ -98,19 +98,16 @@ def coded_bit_error_prob(
 
 @dataclass(frozen=True)
 class PerformanceModelParams:
-    """Knobs of the covert-load BER model."""
+    """Knobs of the covert-load BER model; the code is fixed at n = 32, t = 5."""
 
-    n: int = CHIPS_PER_SYMBOL
-    t: int = PATTERN_WEIGHT
-    d_mean: float = 17.1
-    embed_chips: int = 5       # chips flipped per embedded sequence
-    embed_rate: float = 1.0    # fraction of data symbols carrying covert load
-    pm_mode: str = "diff"      # "diff": P_C_steg - P_C; "ratio": P_C_steg / P_C
+    embed_chips: int = PATTERN_WEIGHT  # chips flipped per embedded sequence
+    embed_rate: float = 1.0            # fraction of data symbols carrying covert load
+    pm_mode: str = "diff"              # "diff": P_C_steg - P_C; "ratio": P_C_steg / P_C
 
     def __post_init__(self):
-        if not 0 <= self.embed_chips <= self.t:
+        if not 0 <= self.embed_chips <= PATTERN_WEIGHT:
             raise ValueError(
-                f"embed_chips must be in [0, t={self.t}], got {self.embed_chips}"
+                f"embed_chips must be in [0, t={PATTERN_WEIGHT}], got {self.embed_chips}"
             )
         if not 0.0 <= self.embed_rate <= 1.0:
             raise ValueError(f"embed_rate must be in [0, 1], got {self.embed_rate}")
@@ -128,11 +125,8 @@ def misdecode_shift(p_b: float, params: PerformanceModelParams) -> float:
     """
     if not 0.0 < p_b < 1.0:
         raise ValueError(f"p_b must be in (0, 1), got {p_b}")
-    t_eff = params.t - params.embed_chips
-    if t_eff < 0:
-        raise ValueError(f"embed_chips {params.embed_chips} exceeds radius {params.t}")
-    p_clean = coded_bit_error_prob(p_b, params.n, params.t)
-    p_steg = coded_bit_error_prob(p_b, params.n, t_eff)
+    p_clean = coded_bit_error_prob(p_b)
+    p_steg = coded_bit_error_prob(p_b, t=PATTERN_WEIGHT - params.embed_chips)
     if params.pm_mode == "ratio":
         if p_clean == 0.0:
             return 1.0 if p_steg == 0.0 else math.inf

@@ -11,7 +11,6 @@ one uint32 word with chip i at bit i, and a stream is an (N,) uint32 array.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, NamedTuple
 
@@ -43,10 +42,6 @@ CHIP_TABLE = (
     "10010110000001110111101110001100",
     "11001001011000000111011110111000",
 )
-
-
-class InvalidCodeSetError(ValueError):
-    """The 16 spreading codes are malformed (wrong count or duplicates)."""
 
 
 class ChipSequence:
@@ -121,35 +116,19 @@ class DecodeResult(NamedTuple):
     distance: int
 
 
-@dataclass(frozen=True)
-class CodeSet:
-    """The 16 spreading codes, indexed by data symbol value."""
-
-    codes: tuple[ChipSequence, ...]
-
-    def __post_init__(self):
-        if len(self.codes) != SYMBOL_VALUES:
-            raise InvalidCodeSetError(f"a code set needs 16 codes, got {len(self.codes)}")
-        if len({c.word for c in self.codes}) != SYMBOL_VALUES:
-            raise InvalidCodeSetError("code set contains duplicate codes")
-
-
 @functools.lru_cache(maxsize=1)
-def standard_code_set() -> CodeSet:
-    """The standard 2450 MHz PHY symbol-to-chip table."""
-    return CodeSet(tuple(ChipSequence.from_string(s) for s in CHIP_TABLE))
+def standard_code_set() -> tuple[ChipSequence, ...]:
+    """The standard 2450 MHz PHY symbol-to-chip table, indexed by data symbol."""
+    return tuple(ChipSequence.from_string(s) for s in CHIP_TABLE)
 
 
-def code_set_stats(code_set: CodeSet) -> CodeSetStats:
+def code_set_stats() -> CodeSetStats:
     """Min/mean/max Hamming distance over the 120 unordered code pairs."""
-    codes = code_set.codes
-    if len({c.word for c in codes}) != len(codes):
-        raise InvalidCodeSetError("code set contains duplicate codes")
-    dists = [hamming(a, b) for a, b in combinations(codes, 2)]
+    dists = [hamming(a, b) for a, b in combinations(standard_code_set(), 2)]
     return CodeSetStats(min(dists), sum(dists) / len(dists), max(dists))
 
 
-_CODE_WORDS = np.array([c.word for c in standard_code_set().codes], dtype=np.uint32)
+_CODE_WORDS = np.array([c.word for c in standard_code_set()], dtype=np.uint32)
 _CODE_WORDS.setflags(write=False)
 
 
@@ -183,7 +162,7 @@ def map_symbol(symbol: int) -> ChipSequence:
     """Spread a 4-bit data symbol onto its 32-chip code."""
     if not 0 <= symbol < SYMBOL_VALUES:
         raise ValueError(f"data symbol out of range: {symbol}")
-    return standard_code_set().codes[symbol]
+    return standard_code_set()[symbol]
 
 
 def decode_chips(received: ChipSequence) -> DecodeResult:

@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 2 usage error (options are range-checked while
 parsing), 3 data error: a malformed chip file, a payload over capacity or
-a missing input file.  Any other exception is a bug and is not caught.
+an input or output file that cannot be read or written.  Any other
+exception is a bug and is not caught.
 All numeric output uses scientific notation with 10 significant digits;
 every command is deterministic given explicit seeds.
 """
@@ -13,7 +14,6 @@ import argparse
 import functools
 import math
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +21,7 @@ import numpy as np
 from . import analysis
 from .analysis import PerformanceModelParams, sensitivity_curve, stego_alphabet_size
 from .channel import ChannelParams
-from .chipmap import code_set_stats, standard_code_set
+from .chipmap import code_set_stats
 from .fileio import ChipStreamFormatError, read_chip_stream, write_chip_stream
 from .pipeline import (
     CapacityError,
@@ -30,7 +30,7 @@ from .pipeline import (
     encode_stream,
     run_simulation,
 )
-from .stego import StegoKey, build_codebook
+from .stego import PATTERN_WEIGHT, StegoKey, build_codebook
 
 _SEED_STRIDE = 0x9E3779B97F4A7C15  # splitmix64 increment, for per-point seeds
 _MAX_RANGE_VALUES = 100_000  # a start:stop:step range is expanded value by value
@@ -66,6 +66,7 @@ _parse_rate = _bounded(float, "embed rate", 0.0, 1.0)
 _parse_p_chip = _bounded(float, "p-chip", 0.0, 0.5)
 _parse_snr_db = _bounded(float, "snr-db", -300.0, 300.0)  # 10^(snr/10) stays a normal float
 _parse_count = _bounded(int, "count", 1)
+_parse_embed_chips = _bounded(int, "embed chips", 0, PATTERN_WEIGHT)
 
 
 def _float_list(parse_one):
@@ -97,17 +98,6 @@ _parse_snr_list = _float_list(_parse_snr_db)
 _parse_rate_list = _float_list(_parse_rate)
 
 
-@dataclass(frozen=True)
-class SweepGrid:
-    snr_db_list: list[float]
-    embed_rate_list: list[float]
-    symbols_per_point: int
-    base_seed: int
-
-    def point_seed(self, index: int) -> int:
-        return (self.base_seed + (index + 1) * _SEED_STRIDE) % (1 << 64)
-
-
 def _write_text(out: str, text: str) -> None:
     if out == "-":
         sys.stdout.write(text)
@@ -116,13 +106,13 @@ def _write_text(out: str, text: str) -> None:
 
 
 def _cmd_stats(args) -> int:
-    stats = code_set_stats(standard_code_set())
+    stats = code_set_stats()
     book = build_codebook()
     lines = [
         f"d_min={stats.d_min}",
         f"d_mean={_fmt(stats.d_mean)}",
         f"d_max={stats.d_max}",
-        f"avg_distance_shift={_fmt(analysis.delta_avg_distance(5, stats.d_mean))}",
+        f"avg_distance_shift={_fmt(analysis.delta_avg_distance(PATTERN_WEIGHT, stats.d_mean))}",
         f"codebook_patterns={len(book.patterns)}",
         f"codebook_min_pairwise_distance={book.min_pairwise_distance()}",
     ]
@@ -170,19 +160,16 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    grid = SweepGrid(args.snr_db, args.embed_rate, args.symbols_per_point, args.seed)
     rows = [
         "snr_db,embed_rate,p_chip,cer,carrier_ser,carrier_ber,"
         "stego_ser,stego_exact_fraction,symbols,seed"
     ]
-    points = sorted(
-        (snr, rate) for snr in grid.snr_db_list for rate in grid.embed_rate_list
-    )
+    points = sorted((snr, rate) for snr in args.snr_db for rate in args.embed_rate)
     for index, (snr, rate) in enumerate(points):
-        seed = grid.point_seed(index)
+        seed = (args.seed + (index + 1) * _SEED_STRIDE) % (1 << 64)
         report = run_simulation(
             SimConfig(
-                num_symbols=grid.symbols_per_point,
+                num_symbols=args.symbols_per_point,
                 channel=ChannelParams.from_snr_db(snr),
                 key=args.key,
                 embed_rate=rate,
@@ -241,7 +228,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--snr-db", type=_parse_snr_list, default=_parse_snr_list("-10:10:0.5"))
     p.add_argument("--embed-rate", type=_parse_rate_list, default=[0.0, 0.25, 0.5, 0.75, 1.0])
     p.add_argument("--pm-mode", choices=("diff", "ratio"), default="diff")
-    p.add_argument("--embed-chips", type=_bounded(int, "embed chips", 0, 5), default=5)
+    p.add_argument("--embed-chips", type=_parse_embed_chips, default=PATTERN_WEIGHT)
     p.add_argument("--out", default="-")
     p.set_defaults(func=_cmd_analytic)
 
@@ -292,7 +279,7 @@ def main(argv: list[str] | None = None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.func(args)
-    except (ChipStreamFormatError, CapacityError, FileNotFoundError) as exc:
+    except (ChipStreamFormatError, CapacityError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

@@ -14,7 +14,7 @@ import numpy as np
 from .channel import GENERATOR_ID, ChannelParams, make_rng, transmit_stream
 from .chipmap import BITS_PER_SYMBOL, CHIPS_PER_SYMBOL, code_matrix, despread_stream
 from .stego import (
-    SCHEDULE_TAPS,
+    SECONDARY_TAPS,
     StegoKey,
     _expand_key,
     embed_words,
@@ -49,7 +49,7 @@ def embedding_schedule(key: StegoKey, embed_rate: float, num_symbols: int) -> np
         return np.zeros(num_symbols, dtype=bool)
     if embed_rate == 1.0:
         return np.ones(num_symbols, dtype=bool)
-    bits = lfsr_bits(_expand_key(key.seed), SCHEDULE_TAPS, 16 * num_symbols)
+    bits = lfsr_bits(_expand_key(key.seed), SECONDARY_TAPS, 16 * num_symbols)
     draws = bits.reshape(num_symbols, 16) @ (1 << np.arange(15, -1, -1, dtype=np.uint32))
     return (draws / 65536.0) < embed_rate
 
@@ -146,12 +146,13 @@ def decode_stream(
 
 @dataclass(frozen=True)
 class SimConfig:
+    """One simulated transmission; a random payload unless data_bits is given."""
+
     num_symbols: int
     channel: ChannelParams
     key: StegoKey
     embed_rate: float
     rng_seed: int
-    payload_mode: str = "random"
     data_bits: np.ndarray | None = field(default=None, compare=False)
     stego_bits: np.ndarray | None = field(default=None, compare=False)
 
@@ -160,10 +161,8 @@ class SimConfig:
             raise ValueError(f"num_symbols must be >= 1, got {self.num_symbols}")
         if not 0.0 <= self.embed_rate <= 1.0:
             raise ValueError(f"embed_rate must be in [0, 1], got {self.embed_rate}")
-        if self.payload_mode not in ("random", "fixed"):
-            raise ValueError(f"unknown payload_mode {self.payload_mode!r}")
-        if self.payload_mode == "fixed" and self.data_bits is None:
-            raise ValueError("fixed payload_mode needs data_bits")
+        if self.stego_bits is not None and self.data_bits is None:
+            raise ValueError("stego_bits needs data_bits: a random payload draws its own")
 
 
 @dataclass(frozen=True)
@@ -176,7 +175,7 @@ class SimReport:
     embed_rate: float
     key_hex: str
     rng_seed: int
-    payload_mode: str
+    payload_mode: str  # "fixed" if the config gave data_bits, else "random"
     generator: str
     chips_sent: int
     chip_errors: int
@@ -248,7 +247,7 @@ def run_simulation(config: SimConfig) -> SimReport:
     slots = np.nonzero(embedding_schedule(config.key, config.embed_rate, n))[0]
     perms = slots, slot_permutations(config.key, slots)
     capacity = BITS_PER_SYMBOL * slots.size
-    if config.payload_mode == "random":
+    if config.data_bits is None:
         data_bits = rng.integers(0, 2, BITS_PER_SYMBOL * n, dtype=np.uint8)
         stego_bits = rng.integers(0, 2, capacity, dtype=np.uint8)
     else:
@@ -280,7 +279,7 @@ def run_simulation(config: SimConfig) -> SimReport:
         embed_rate=config.embed_rate,
         key_hex=config.key.hex,
         rng_seed=config.rng_seed,
-        payload_mode=config.payload_mode,
+        payload_mode="random" if config.data_bits is None else "fixed",
         generator=GENERATOR_ID,
         chips_sent=CHIPS_PER_SYMBOL * n,
         chip_errors=chip_errors,

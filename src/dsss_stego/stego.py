@@ -43,10 +43,10 @@ SUBSET_COUNT = math.comb(CHIPS_PER_SYMBOL, PATTERN_WEIGHT)  # 201376
 # sparse-tap register's bit stream carries window correlations strong
 # enough to bias the position shuffle (visible in chi-square uniformity
 # tests); the combined stream measures clean.  The embedding schedule
-# runs its own single register so the two keyed streams stay apart.
+# runs its own single register, on the secondary taps, so the two keyed
+# streams stay apart.
 PRIMARY_TAPS = (32, 22, 2, 1)
 SECONDARY_TAPS = (32, 30, 26, 25)
-SCHEDULE_TAPS = SECONDARY_TAPS
 _SPAN = 1 << 14  # stream bits made per XOR of basis rows (lfsr_bits)
 
 

@@ -27,7 +27,6 @@ from dsss_stego.chipmap import (
     decode_chips,
     map_symbol,
     pack_chips,
-    standard_code_set,
 )
 from dsss_stego.pipeline import SimConfig, despread_stream, run_simulation
 from dsss_stego.stego import (
@@ -52,7 +51,7 @@ def _ok(num: int, text: str, t0: float) -> None:
 
 def test_criterion_1_code_set_statistics():
     t0 = time.perf_counter()
-    stats = code_set_stats(standard_code_set())
+    stats = code_set_stats()
     assert stats.d_min == 12
     assert stats.d_max == 20
     assert abs(stats.d_mean - 17.1) <= 0.05

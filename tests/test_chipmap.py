@@ -1,6 +1,5 @@
 import random
 from itertools import combinations
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -8,8 +7,6 @@ import pytest
 from dsss_stego.chipmap import (
     CHIP_TABLE,
     ChipSequence,
-    CodeSet,
-    InvalidCodeSetError,
     code_matrix,
     code_set_stats,
     decode_chips,
@@ -38,7 +35,7 @@ def test_symbol_zero_chip_values():
 
 
 def test_stats_match_standard_values():
-    stats = code_set_stats(standard_code_set())
+    stats = code_set_stats()
     assert stats.d_min == 12
     assert stats.d_max == 20
     assert abs(stats.d_mean - 17.1) <= 0.05
@@ -48,19 +45,10 @@ def test_stats_match_standard_values():
 def test_stats_against_string_oracle():
     dists = [brute_distance(a, b) for a, b in combinations(CHIP_TABLE, 2)]
     assert len(dists) == 120
-    stats = code_set_stats(standard_code_set())
+    stats = code_set_stats()
     assert stats.d_min == min(dists)
     assert stats.d_max == max(dists)
     assert stats.d_mean == pytest.approx(sum(dists) / 120, abs=1e-12)
-
-
-def test_duplicate_codes_rejected():
-    codes = list(standard_code_set().codes)
-    codes[5] = codes[4]
-    with pytest.raises(InvalidCodeSetError):
-        CodeSet(tuple(codes))
-    with pytest.raises(InvalidCodeSetError):
-        code_set_stats(SimpleNamespace(codes=tuple(codes)))
 
 
 def test_hamming_identity_and_complement():
@@ -89,8 +77,8 @@ def test_hamming_is_a_metric():
 
 def test_map_symbol_indexing_and_roundtrip():
     cs = standard_code_set()
-    assert map_symbol(0) is cs.codes[0]
-    assert map_symbol(15) is cs.codes[15]
+    assert map_symbol(0) is cs[0]
+    assert map_symbol(15) is cs[15]
     for s in range(16):
         assert decode_chips(map_symbol(s)) == (s, 0)
     for bad in (-1, 16):
@@ -110,13 +98,13 @@ def test_decode_exact_and_five_flips():
 def test_decode_tiebreak_prefers_lower_symbol():
     # midpoint word between codes 2 and 9: flip half their differing chips
     cs = standard_code_set()
-    diff = [i for i, c in enumerate(ChipSequence(cs.codes[2].word ^ cs.codes[9].word).chips) if c]
+    diff = [i for i, c in enumerate(ChipSequence(cs[2].word ^ cs[9].word).chips) if c]
     assert len(diff) % 2 == 0
-    mid = cs.codes[2].flip(diff[: len(diff) // 2])
-    d2 = hamming(mid, cs.codes[2])
-    d9 = hamming(mid, cs.codes[9])
+    mid = cs[2].flip(diff[: len(diff) // 2])
+    d2 = hamming(mid, cs[2])
+    d9 = hamming(mid, cs[9])
     assert d2 == d9 == len(diff) // 2
-    others = [hamming(mid, cs.codes[s]) for s in range(16) if s not in (2, 9)]
+    others = [hamming(mid, cs[s]) for s in range(16) if s not in (2, 9)]
     assert min(others) > d2  # precondition: strictly farther from the rest
     assert decode_chips(mid) == (2, d2)
 

@@ -201,10 +201,17 @@ def test_decode_malformed_stream_names_offset(tmp_path, capsys):
 
 
 def test_missing_input_file_is_data_error(tmp_path, capsys):
-    assert run_cli(
-        "encode", "--data", str(tmp_path / "nope.bin"), "--key", "ACE1",
-        "--out", str(tmp_path / "x"),
-    ) == 3
+    # any file that cannot be read or written is a data error, not a traceback
+    data = tmp_path / "data.bin"
+    data.write_bytes(b"\x12\x34")
+    for argv in (
+        ["encode", "--data", str(tmp_path / "nope.bin"), "--key", "ACE1",
+         "--out", str(tmp_path / "x")],
+        ["decode", "--in", str(tmp_path), "--key", "ACE1", "--data-out", str(tmp_path / "d")],
+        ["encode", "--data", str(data), "--key", "ACE1", "--out", str(tmp_path)],
+    ):
+        assert run_cli(*argv) == 3, argv
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_bad_key_is_usage_error():

@@ -54,6 +54,15 @@ REPORT_PINS = {
 # decoded slot was still one Python object.
 DIAG_PIN = "d98455bfadef30407ce7854d0405507212d9b681526ca0f0c6cd3e75f6ec4e69"
 
+# Text outputs of ``stats``, ``analytic`` and ``sweep``, taken while the code
+# table was still a settable ``CodeSet`` and the model carried n, t and d_mean.
+CLI_PINS = {
+    "stats": "c57286693e79de9de1507fcbcad4bf42a84e37ee8231f128312e233f0fd87b11",
+    "analytic-ratio": "5e5f58a5a9e9f6a568aca5ca46e03c4be0ece7a9ca33da70b50ad69e6878f600",
+    "analytic-chips3": "91d26c2c1a14a2fc4cd33de3b13753bb98858d6954702feb583305228f56bdfa",
+    "sweep-neg-seed": "c255bf24ca1b4fb348c1d6a95c40ea7069acfc1649cbdf275090361554e91025",
+}
+
 
 def sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
@@ -120,7 +129,7 @@ def test_simulation_report_pinned(name, num_symbols, embed_rate):
             "fixed-prefix",
             dict(
                 num_symbols=1000, channel=ChannelParams.from_snr_db(2.0), embed_rate=0.25,
-                payload_mode="fixed", data_bits=fixed_bits("data", 4000),
+                data_bits=fixed_bits("data", 4000),
                 stego_bits=fixed_bits("stego", 402),
             ),
         ),
@@ -151,6 +160,25 @@ def test_decode_diag_csv_pinned(tmp_path):
     flags = {row.split(",", 1)[1] for row in rows}
     assert {"1,5", "0,0"} <= flags and any(f.startswith("0,") and f != "0,0" for f in flags)
     assert sha(diag.read_bytes()) == DIAG_PIN
+
+
+CLI_ARGS = {
+    "stats": ["stats"],
+    "analytic-ratio": ["analytic", "--snr-db=-4:8:1", "--embed-rate", "0,0.5,1",
+                       "--pm-mode", "ratio"],
+    "analytic-chips3": ["analytic", "--snr-db=-4:8:1", "--embed-rate", "0,0.5,1",
+                        "--embed-chips", "3"],
+    # a negative base seed still gives per-point seeds in [0, 2^64)
+    "sweep-neg-seed": ["sweep", "--snr-db", "0,4", "--embed-rate", "0,0.5,1",
+                       "--symbols-per-point", "200", "--seed", "-3"],
+}
+
+
+@pytest.mark.parametrize("name", CLI_PINS)
+def test_cli_text_outputs_pinned(tmp_path, name):
+    out = tmp_path / "out.txt"
+    assert main([*CLI_ARGS[name], "--out", str(out)]) == 0
+    assert sha(out.read_bytes()) == CLI_PINS[name]
 
 
 # -- scalar oracle: the registers stepped one bit at a time -------------------

@@ -70,7 +70,7 @@ def test_non_binary_bits_rejected():
         with pytest.raises(ValueError, match="0 or 1"):
             encode_stream(data, np.array(covert), KEY, 1.0)
     with pytest.raises(ValueError, match="0 or 1"):
-        run_simulation(_config(num_symbols=2, payload_mode="fixed", data_bits=data + 2))
+        run_simulation(_config(num_symbols=2, data_bits=data + 2))
 
 
 def test_despread_matches_scalar_decoder():
@@ -296,5 +296,17 @@ def test_config_validation():
         _config(num_symbols=0)
     with pytest.raises(ValueError):
         _config(embed_rate=1.5)
-    with pytest.raises(ValueError):
-        _config(payload_mode="bogus")
+    with pytest.raises(ValueError, match="stego_bits needs data_bits"):
+        _config(stego_bits=np.ones(8, dtype=np.uint8))
+
+
+def test_data_bits_make_a_fixed_payload_run():
+    # given data_bits the run sends exactly that payload, covert bits included
+    rng = np.random.default_rng(5)
+    data, covert = random_bits(rng, 4000), random_bits(rng, 40)
+    report = run_simulation(_config(embed_rate=1.0, data_bits=data, stego_bits=covert))
+    assert report.payload_mode == "fixed"
+    assert "\npayload_mode=fixed\n" in report.as_text()
+    assert report.stego_symbols_sent == 10 and report.stego_exact_count == 10
+    assert run_simulation(_config(embed_rate=1.0, data_bits=data)).stego_symbols_sent == 0
+    assert run_simulation(_config(embed_rate=1.0)).payload_mode == "random"

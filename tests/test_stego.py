@@ -402,7 +402,7 @@ def test_extract_clean_code_reports_empty_diff():
 def oracle_extract(word, perm):
     # scalar reference: nearest code by a loop, unpermute the diff chips,
     # least symmetric difference with each pattern's position mask
-    codes = [c.word for c in standard_code_set().codes]
+    codes = [c.word for c in standard_code_set()]
     dists = [(word ^ c).bit_count() for c in codes]
     diff = word ^ codes[dists.index(min(dists))]
     observed = sum(1 << p for p in range(32) if diff >> perm[p] & 1)
