@@ -47,8 +47,6 @@ from .stego import (
     build_codebook,
     embed,
     extract,
-    rank_subset,
-    unrank_subset,
 )
 
 __version__ = "0.1.0"

@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
+from .channel import snr_db_to_linear
 from .chipmap import BITS_PER_SYMBOL, CHIPS_PER_SYMBOL
 from .stego import PATTERN_WEIGHT
 
@@ -159,7 +160,7 @@ def ber_ieee(snr_linear: float) -> float:
         ((-1) ** k) * math.comb(16, k) * math.exp(SYMBOL_SNR_FACTOR * snr_linear * (1.0 / k - 1.0))
         for k in range(2, 17)
     ]
-    return (8.0 / 15.0) * (1.0 / 16.0) * math.fsum(terms)
+    return (BIT_ERRORS_PER_SYMBOL_ERROR / BITS_PER_SYMBOL) * (1.0 / 16.0) * math.fsum(terms)
 
 
 def uncoded_bit_error_prob(snr_linear: float) -> float:
@@ -182,7 +183,7 @@ def ber_with_stego(snr_db: float, params: PerformanceModelParams) -> float:
     Clean-curve BER plus embed_rate times the misdecode-driven BER
     increment, clipped to [0, 0.5].
     """
-    snr_linear = 10.0 ** (snr_db / 10.0)
+    snr_linear = snr_db_to_linear(snr_db)
     clean = ber_ieee(snr_linear)
     if params.embed_rate == 0.0 or params.embed_chips == 0:
         return clean
@@ -214,7 +215,7 @@ def sensitivity_point(snr_db: float, params: PerformanceModelParams) -> Sensitiv
     sensitivity loss.  A target at or above 0.5 is not invertible and is
     reported saturated with the shift capped at the bracket width.
     """
-    snr_linear = 10.0 ** (snr_db / 10.0)
+    snr_linear = snr_db_to_linear(snr_db)
     clean = ber_ieee(snr_linear)
     target = ber_with_stego(snr_db, params)
     if target <= clean:
@@ -228,7 +229,7 @@ def sensitivity_point(snr_db: float, params: PerformanceModelParams) -> Sensitiv
     hi = snr_db
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        value = ber_ieee(10.0 ** (mid / 10.0))
+        value = ber_ieee(snr_db_to_linear(mid))
         if value > target:
             lo = mid
         else:

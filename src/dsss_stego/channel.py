@@ -41,10 +41,6 @@ class ChannelParams:
             raise ValueError(f"p_chip must be in [0, 0.5], got {self.p_chip}")
 
     @classmethod
-    def direct(cls, p_chip: float) -> "ChannelParams":
-        return cls(p_chip=p_chip)
-
-    @classmethod
     def from_snr_db(cls, snr_db: float) -> "ChannelParams":
         p = snr_to_chip_error_prob(snr_db_to_linear(snr_db))
         return cls(p_chip=p, snr_db=snr_db)

@@ -143,12 +143,6 @@ def pack_chips(rows: np.ndarray) -> np.ndarray:
     return packed.view("<u4")[..., 0].astype(np.uint32, copy=False)
 
 
-def unpack_chips(words: np.ndarray) -> np.ndarray:
-    """(N,) uint32 words -> (N, 32) uint8 chips, chip 0 first (inverse of pack_chips)."""
-    octets = np.ascontiguousarray(words, dtype="<u4").view(np.uint8).reshape(-1, 4)
-    return np.unpackbits(octets, axis=1, bitorder="little")
-
-
 def despread_stream(words: np.ndarray) -> np.ndarray:
     """Nearest-code symbol per word (ties to the lowest symbol)."""
     out = np.empty(len(words), dtype=np.uint8)

@@ -143,7 +143,7 @@ def _cmd_analytic(args) -> int:
 def _channel_from_args(args) -> ChannelParams:
     if args.snr_db is not None:
         return ChannelParams.from_snr_db(args.snr_db)
-    return ChannelParams.direct(args.p_chip)
+    return ChannelParams(args.p_chip)
 
 
 def _cmd_simulate(args) -> int:
@@ -227,7 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analytic", help="emit BER and sensitivity-shift curves as CSV")
     p.add_argument("--snr-db", type=_parse_snr_list, default=_parse_snr_list("-10:10:0.5"))
     p.add_argument("--embed-rate", type=_parse_rate_list, default=[0.0, 0.25, 0.5, 0.75, 1.0])
-    p.add_argument("--pm-mode", choices=("diff", "ratio"), default="diff")
+    p.add_argument("--pm-mode", choices=analysis.PM_MODES, default="diff")
     p.add_argument("--embed-chips", type=_parse_embed_chips, default=PATTERN_WEIGHT)
     p.add_argument("--out", default="-")
     p.set_defaults(func=_cmd_analytic)

@@ -4,6 +4,9 @@ Layout: 4-byte magic "CHIP", 1 version byte, symbol count as an unsigned
 8-byte little-endian integer, then the packed chips (32 per symbol, chip
 0 of symbol 0 in the most significant bit of payload byte 0).  A symbol
 occupies exactly 4 payload bytes, so a valid file is 13 + 4*N bytes.
+
+A word keeps chip i at bit i, so a symbol's 4 payload bytes are its word's
+little-endian bytes, each with its bits reversed.
 """
 
 from __future__ import annotations
@@ -13,12 +16,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .chipmap import CHIPS_PER_SYMBOL, pack_chips, unpack_chips
+from .chipmap import CHIPS_PER_SYMBOL
 
 MAGIC = b"CHIP"
 VERSION = 1
 HEADER_SIZE = 13
 _BYTES_PER_SYMBOL = CHIPS_PER_SYMBOL // 8
+# byte value -> the byte with its bits reversed
+_REVERSED = np.packbits(np.unpackbits(np.arange(256, dtype=np.uint8)), bitorder="little")
 
 
 class ChipStreamFormatError(ValueError):
@@ -35,7 +40,9 @@ def write_chip_stream(path: str | Path, words: np.ndarray) -> None:
     if words.ndim != 1 or words.dtype != np.uint32:
         raise ValueError(f"expected (N,) uint32 chip words, got {words.dtype} {words.shape}")
     header = MAGIC + bytes([VERSION]) + struct.pack("<Q", words.size)
-    Path(path).write_bytes(header + np.packbits(unpack_chips(words)).tobytes())
+    with Path(path).open("wb") as out:
+        out.write(header)
+        out.write(_REVERSED[np.ascontiguousarray(words, "<u4").view(np.uint8)])
 
 
 def read_chip_stream(path: str | Path) -> np.ndarray:
@@ -51,16 +58,14 @@ def read_chip_stream(path: str | Path) -> np.ndarray:
         raise ChipStreamFormatError(f"unsupported version {raw[4]}", 4)
     (count,) = struct.unpack("<Q", raw[5:HEADER_SIZE])
     expected = count * _BYTES_PER_SYMBOL
-    payload = raw[HEADER_SIZE:]
-    if len(payload) < expected:
+    size = len(raw) - HEADER_SIZE
+    if size < expected:
         raise ChipStreamFormatError(
-            f"payload holds {len(payload)} bytes, header promises {expected}",
-            HEADER_SIZE + len(payload),
+            f"payload holds {size} bytes, header promises {expected}", HEADER_SIZE + size
         )
-    if len(payload) > expected:
+    if size > expected:
         raise ChipStreamFormatError(
-            f"{len(payload) - expected} trailing bytes after chip payload",
-            HEADER_SIZE + expected,
+            f"{size - expected} trailing bytes after chip payload", HEADER_SIZE + expected
         )
-    chips = np.unpackbits(np.frombuffer(payload, dtype=np.uint8))
-    return pack_chips(chips.reshape(-1, CHIPS_PER_SYMBOL))
+    words = _REVERSED[np.frombuffer(raw, np.uint8, offset=HEADER_SIZE)].view("<u4")
+    return words.astype(np.uint32, copy=False)

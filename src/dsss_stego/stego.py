@@ -23,11 +23,10 @@ the rejection-sampled Fisher-Yates draws; the swaps run over all symbols.
 from __future__ import annotations
 
 import functools
-import math
 import operator
 import re
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -36,7 +35,6 @@ from .chipmap import CHIPS_PER_SYMBOL, ChipSequence, code_matrix, decode_chips
 PATTERN_WEIGHT = 5          # = floor((d_min - 1) / 2) for d_min = 12: the correction radius
 MIN_PATTERN_SEPARATION = 6  # symmetric-difference floor between patterns
 CODEBOOK_SIZE = 16
-SUBSET_COUNT = math.comb(CHIPS_PER_SYMBOL, PATTERN_WEIGHT)  # 201376
 
 # Maximal-length Fibonacci LFSR feedback taps (bit positions, 1-based).
 # The permutation keystream XORs one register per polynomial: a single
@@ -58,37 +56,13 @@ class CodebookError(RuntimeError):
     """Greedy pattern construction could not reach 16 patterns."""
 
 
-def rank_subset(positions: Iterable[int]) -> int:
-    """Colex rank of a 5-subset of {0..31}."""
-    pos = sorted(positions)
-    if len(pos) != PATTERN_WEIGHT or len(set(pos)) != PATTERN_WEIGHT:
-        raise ValueError(f"need 5 distinct positions, got {pos}")
-    if pos[0] < 0 or pos[-1] >= CHIPS_PER_SYMBOL:
-        raise ValueError(f"positions out of range: {pos}")
-    return sum(math.comb(c, j + 1) for j, c in enumerate(pos))
-
-
-def unrank_subset(rank: int) -> tuple[int, ...]:
-    """The rank-th 5-subset of {0..31} in colex order (inverse of rank_subset)."""
-    if not 0 <= rank < SUBSET_COUNT:
-        raise ValueError(f"rank out of range [0, {SUBSET_COUNT}): {rank}")
-    r = rank
-    n = CHIPS_PER_SYMBOL
-    k = PATTERN_WEIGHT
-    out = [0] * k
-    while k > 0:
-        # binary search for the largest n with comb(n, k) <= r
-        lower = k - 1
-        while lower < n:
-            mid = (lower + n + 1) // 2
-            if r < math.comb(mid, k):
-                n = mid - 1
-            else:
-                lower = mid
-        r -= math.comb(n, k)
-        k -= 1
-        out[k] = n
-    return tuple(out)
+def _colex(k: int, n: int):
+    """The k-subsets of range(n) as ascending tuples, in colexicographic order."""
+    if k == 0:
+        yield ()
+        return
+    for top in range(k - 1, n):
+        yield from (head + (top,) for head in _colex(k - 1, top))
 
 
 @dataclass(frozen=True)
@@ -117,8 +91,7 @@ def build_codebook() -> StegoCodebook:
     accepted: list[frozenset[int]] = []
     # separation >= 6 between weight-5 sets is intersection <= 2
     max_overlap = PATTERN_WEIGHT - MIN_PATTERN_SEPARATION // 2
-    for rank in range(SUBSET_COUNT):
-        cand = frozenset(unrank_subset(rank))
+    for cand in map(frozenset, _colex(PATTERN_WEIGHT, CHIPS_PER_SYMBOL)):
         if all(len(cand & prev) <= max_overlap for prev in accepted):
             accepted.append(cand)
             if len(accepted) == CODEBOOK_SIZE:

@@ -34,9 +34,9 @@ from dsss_stego.stego import (
     StegoKey,
     build_codebook,
     embed,
-    embed_with_permutation,
+    embed_words,
     extract,
-    extract_with_permutation,
+    extract_diffs,
 )
 
 mp.mp.dps = 50
@@ -100,19 +100,19 @@ def test_criterion_3_correction_radius():
 def test_criterion_4_covert_round_trip():
     t0 = time.perf_counter()
     rnd = random.Random(404)
+    # every carrier x covert symbol x symbol index, as one batch per key
+    carriers, covert, index = (a.reshape(-1) for a in np.indices((16, 16, 10)))
+    codes = code_matrix()
     failures = 0
     for _ in range(100):
-        key = StegoKey(rnd.randrange(1, 65536))
-        sched = KeySchedule(key)
-        for i in range(10):
-            perm = sched.permutation(i)
-            for c in range(16):
-                carrier = map_symbol(c)
-                for e in range(16):
-                    out = embed_with_permutation(carrier, e, perm)
-                    got = extract_with_permutation(out, perm)
-                    if got != (e, True, 5):
-                        failures += 1
+        sched = KeySchedule(StegoKey(rnd.randrange(1, 65536)))
+        perms = np.array([sched.permutation(i) for i in range(10)], dtype=np.uint8)[index]
+        out = embed_words(codes[carriers], covert, perms)
+        symbols = despread_stream(out)
+        got, exact, weight = extract_diffs(out ^ codes[symbols], perms)
+        failures += np.count_nonzero(
+            (symbols != carriers) | (got != covert) | ~exact | (weight != 5)
+        )
     assert failures == 0
     # spot-check the same contract through the schedule-level entry points
     for _ in range(100):
@@ -198,7 +198,7 @@ def test_criterion_9_monte_carlo_consistency():
         report = run_simulation(
             SimConfig(
                 num_symbols=31_250,  # exactly 1e6 chips
-                channel=ChannelParams.direct(p),
+                channel=ChannelParams(p),
                 key=key,
                 embed_rate=0.0,
                 rng_seed=777,
@@ -209,7 +209,7 @@ def test_criterion_9_monte_carlo_consistency():
         assert abs(report.cer - p) < 3 * sigma
     cfg = SimConfig(
         num_symbols=4000,
-        channel=ChannelParams.direct(0.01),
+        channel=ChannelParams(0.01),
         key=key,
         embed_rate=0.5,
         rng_seed=31337,

@@ -56,17 +56,17 @@ def test_params_validation():
         ChannelParams(p_chip=0.6)
     with pytest.raises(ValueError):
         ChannelParams(p_chip=-0.1)
-    assert ChannelParams.direct(0.0).p_chip == 0.0
+    assert ChannelParams(0.0).p_chip == 0.0
 
 
 def test_noiseless_transmit_is_identity():
     rng = make_rng(0)
     seq = map_symbol(5)
-    assert transmit(seq, ChannelParams.direct(0.0), rng) == seq
+    assert transmit(seq, ChannelParams(0.0), rng) == seq
 
 
 def test_transmit_deterministic_given_seed():
-    params = ChannelParams.direct(0.3)
+    params = ChannelParams(0.3)
     a = transmit(map_symbol(1), params, make_rng(99))
     b = transmit(map_symbol(1), params, make_rng(99))
     assert a == b
@@ -76,7 +76,7 @@ def test_flip_rate_within_binomial_interval():
     n = 1_000_000
     p = 0.1
     words = np.zeros(n // 32, dtype=np.uint32)
-    out, flips = transmit_stream(words, ChannelParams.direct(p), make_rng(7))
+    out, flips = transmit_stream(words, ChannelParams(p), make_rng(7))
     assert flips == int(np.bitwise_count(out).sum())
     sigma = math.sqrt(p * (1 - p) / n)
     assert abs(flips / n - p) < 3 * sigma
@@ -85,14 +85,14 @@ def test_flip_rate_within_binomial_interval():
 def test_half_rate_noise_marginal_uniform():
     n = 400_000
     words = np.full(n // 32, 0xFFFFFFFF, dtype=np.uint32)
-    out, _ = transmit_stream(words, ChannelParams.direct(0.5), make_rng(21))
+    out, _ = transmit_stream(words, ChannelParams(0.5), make_rng(21))
     assert abs(np.bitwise_count(out).sum() / n - 0.5) < 3 * math.sqrt(0.25 / n)
 
 
 def test_transmit_preserves_shape_and_type():
     words = np.zeros(10, dtype=np.uint32)
-    out, flips = transmit_stream(words, ChannelParams.direct(0.2), make_rng(3))
+    out, flips = transmit_stream(words, ChannelParams(0.2), make_rng(3))
     assert out.shape == words.shape
     assert out.dtype == np.uint32
     assert flips == int(np.bitwise_count(out).sum())
-    assert isinstance(transmit(map_symbol(0), ChannelParams.direct(0.2), make_rng(3)), ChipSequence)
+    assert isinstance(transmit(map_symbol(0), ChannelParams(0.2), make_rng(3)), ChipSequence)

@@ -1,4 +1,5 @@
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -35,6 +36,30 @@ def test_round_trip(tmp_path):
     write_chip_stream(path, words)
     assert path.stat().st_size == 13 + 4 * 257
     assert (read_chip_stream(path) == words).all()
+    write_chip_stream(path, words[::2])  # a strided view writes its values, not its buffer
+    assert path.stat().st_size == 13 + 4 * 129
+    assert (read_chip_stream(path) == words[::2]).all()
+
+
+def _traced_peak(call):
+    tracemalloc.start()
+    try:
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_read_and_write_peak_near_the_file_size(tmp_path):
+    # the bytes of the words are the file's bytes bit-reversed: no byte per chip
+    words = np.random.default_rng(2).integers(0, 1 << 32, 100_000, dtype=np.uint32)
+    path = tmp_path / "big.chips"
+    _, write_peak = _traced_peak(lambda: write_chip_stream(path, words))
+    size = path.stat().st_size
+    read, read_peak = _traced_peak(lambda: read_chip_stream(path))
+    assert (read == words).all()
+    assert write_peak <= 2.5 * size
+    assert read_peak <= 2.5 * size
 
 
 def test_chip_zero_is_msb_of_first_payload_byte(tmp_path):

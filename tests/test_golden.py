@@ -56,9 +56,12 @@ DIAG_PIN = "d98455bfadef30407ce7854d0405507212d9b681526ca0f0c6cd3e75f6ec4e69"
 
 # Text outputs of ``stats``, ``analytic`` and ``sweep``, taken while the code
 # table was still a settable ``CodeSet`` and the model carried n, t and d_mean.
+# ``analytic-diff`` was taken later, while the model still spelled out its own
+# dB conversion and its 8/15 bit-error factor.
 CLI_PINS = {
     "stats": "c57286693e79de9de1507fcbcad4bf42a84e37ee8231f128312e233f0fd87b11",
     "analytic-ratio": "5e5f58a5a9e9f6a568aca5ca46e03c4be0ece7a9ca33da70b50ad69e6878f600",
+    "analytic-diff": "a29055f3887d37990262905fccd9850d63e4b507e51d2b7d64700e7540f9cd3f",
     "analytic-chips3": "91d26c2c1a14a2fc4cd33de3b13753bb98858d6954702feb583305228f56bdfa",
     "sweep-neg-seed": "c255bf24ca1b4fb348c1d6a95c40ea7069acfc1649cbdf275090361554e91025",
 }
@@ -134,7 +137,7 @@ def test_simulation_report_pinned(name, num_symbols, embed_rate):
             ),
         ),
         ("rate1-6dB", dict(num_symbols=600, channel=ChannelParams.from_snr_db(6), embed_rate=1.0)),
-        ("p-chip-0.2", dict(num_symbols=2000, channel=ChannelParams.direct(0.2), embed_rate=0.5)),
+        ("p-chip-0.2", dict(num_symbols=2000, channel=ChannelParams(0.2), embed_rate=0.5)),
     ],
 )
 def test_more_simulation_reports_pinned(name, kwargs):
@@ -149,7 +152,7 @@ def test_decode_diag_csv_pinned(tmp_path):
     # the sidecar holds exact, nearest-pattern and unfilled (",0,0") rows
     key = dsss_stego.StegoKey.from_hex(REF_KEY)
     words = dsss_stego.encode_stream(fixed_bits("data", 4000), fixed_bits("stego", 1002), key, 0.4)
-    noisy, _ = transmit_stream(words, ChannelParams.direct(0.05), make_rng(2011))
+    noisy, _ = transmit_stream(words, ChannelParams(0.05), make_rng(2011))
     chips, diag = tmp_path / "noisy.chip", tmp_path / "diag.csv"
     write_chip_stream(chips, noisy)
     assert main([
@@ -166,6 +169,7 @@ CLI_ARGS = {
     "stats": ["stats"],
     "analytic-ratio": ["analytic", "--snr-db=-4:8:1", "--embed-rate", "0,0.5,1",
                        "--pm-mode", "ratio"],
+    "analytic-diff": ["analytic", "--snr-db=-4:8:1", "--embed-rate", "0,0.5,1"],
     "analytic-chips3": ["analytic", "--snr-db=-4:8:1", "--embed-rate", "0,0.5,1",
                         "--embed-chips", "3"],
     # a negative base seed still gives per-point seeds in [0, 2^64)

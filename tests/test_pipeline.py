@@ -147,7 +147,7 @@ def _count_calls(monkeypatch, name):
 def test_simulation_derives_schedule_and_permutations_once(monkeypatch):
     streams = _count_calls(monkeypatch, "permutation_stream")
     schedules = _count_calls(monkeypatch, "embedding_schedule")
-    run_simulation(_config(num_symbols=500, channel=ChannelParams.direct(0.05), embed_rate=0.5))
+    run_simulation(_config(num_symbols=500, channel=ChannelParams(0.05), embed_rate=0.5))
     assert (len(streams), len(schedules)) == (1, 1)
     run_simulation(_config(num_symbols=500, embed_rate=0.0))
     assert len(streams) == 1
@@ -209,7 +209,7 @@ def test_flips_within_radius_never_break_carrier():
 def _config(**kw):
     defaults = dict(
         num_symbols=1000,
-        channel=ChannelParams.direct(0.0),
+        channel=ChannelParams(0.0),
         key=KEY,
         embed_rate=0.0,
         rng_seed=42,
@@ -227,7 +227,7 @@ def test_lossless_regime():
 
 
 def test_reports_are_bit_identical_for_identical_configs():
-    cfg = _config(channel=ChannelParams.direct(0.01), embed_rate=0.5, num_symbols=5000)
+    cfg = _config(channel=ChannelParams(0.01), embed_rate=0.5, num_symbols=5000)
     a = run_simulation(cfg).as_text()
     b = run_simulation(cfg).as_text()
     assert a == b
@@ -235,7 +235,7 @@ def test_reports_are_bit_identical_for_identical_configs():
 
 def test_cer_tracks_configured_probability():
     p = 0.01
-    report = run_simulation(_config(num_symbols=31_250, channel=ChannelParams.direct(p)))
+    report = run_simulation(_config(num_symbols=31_250, channel=ChannelParams(p)))
     n = report.chips_sent
     assert n == 1_000_000
     assert abs(report.cer - p) < 3 * math.sqrt(p * (1 - p) / n)
@@ -247,7 +247,7 @@ def test_carrier_ber_below_bounded_distance_limit():
     from dsss_stego.analysis import coded_bit_error_prob
 
     p = 0.01
-    report = run_simulation(_config(num_symbols=100_000, channel=ChannelParams.direct(p)))
+    report = run_simulation(_config(num_symbols=100_000, channel=ChannelParams(p)))
     assert report.carrier_ber <= 10 * coded_bit_error_prob(p, 32, 5) + 1e-12
 
 
@@ -256,7 +256,7 @@ def test_half_noise_gives_half_ber():
     # decoded symbol is independent of a uniform payload: BER = 1/2 exactly
     # (chance symbol agreement (1/16) times 0 errors plus 15/16 times 32/15/4)
     report = run_simulation(
-        _config(num_symbols=1_000_000, channel=ChannelParams.direct(0.5), rng_seed=123)
+        _config(num_symbols=1_000_000, channel=ChannelParams(0.5), rng_seed=123)
     )
     sigma = 1 / (4 * math.sqrt(report.symbols_sent))
     assert abs(report.carrier_ber - 0.5) < 4 * sigma
@@ -267,7 +267,7 @@ def test_carrier_ber_monotone_in_noise():
     probs = [0.02, 0.05, 0.1, 0.2, 0.35]
     bers = [
         run_simulation(
-            _config(num_symbols=20_000, channel=ChannelParams.direct(p), rng_seed=9)
+            _config(num_symbols=20_000, channel=ChannelParams(p), rng_seed=9)
         ).carrier_ber
         for p in probs
     ]
@@ -278,7 +278,7 @@ def test_carrier_ber_monotone_in_noise():
 
 def test_report_counts_consistent():
     report = run_simulation(
-        _config(num_symbols=2000, channel=ChannelParams.direct(0.05), embed_rate=0.5)
+        _config(num_symbols=2000, channel=ChannelParams(0.05), embed_rate=0.5)
     )
     assert report.chip_errors <= report.chips_sent
     assert report.symbol_errors <= report.symbols_sent
