@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass, replace
 
 from .channel import snr_db_to_linear
-from .chipmap import BITS_PER_SYMBOL, CHIPS_PER_SYMBOL
+from .chipmap import BITS_PER_SYMBOL, CHIPS_PER_SYMBOL, SYMBOL_VALUES
 from .stego import PATTERN_WEIGHT
 
 # The 16-ary orthogonal BER curve below carries a symbol SNR of 20x the
@@ -25,6 +25,13 @@ UNCODED_BIT_SNR_FACTOR = SYMBOL_SNR_FACTOR / BITS_PER_SYMBOL
 # wrong 4-bit values, 4 differ in one bit, 6 in two, 4 in three, 1 in
 # four, for a mean of 32/15 bit errors per symbol error.
 BIT_ERRORS_PER_SYMBOL_ERROR = 32.0 / 15.0
+
+# Term k = 2..16 of the 16-ary curve (ber_ieee) as ((-1)^k C(16, k), 1/k - 1),
+# and the factor (8/15) * (1/16) in front of their sum.
+_BER_TERMS = tuple(
+    ((-1) ** k * math.comb(SYMBOL_VALUES, k), 1.0 / k - 1.0) for k in range(2, SYMBOL_VALUES + 1)
+)
+_BER_SCALE = (BIT_ERRORS_PER_SYMBOL_ERROR / BITS_PER_SYMBOL) * (1.0 / SYMBOL_VALUES)
 
 SENSITIVITY_BRACKET_DB = 30.0
 _BISECTION_REL_TOL = 1e-9
@@ -156,11 +163,8 @@ def ber_ieee(snr_linear: float) -> float:
     """
     if snr_linear < 0.0:
         raise ValueError(f"SNR must be >= 0, got {snr_linear}")
-    terms = [
-        ((-1) ** k) * math.comb(16, k) * math.exp(SYMBOL_SNR_FACTOR * snr_linear * (1.0 / k - 1.0))
-        for k in range(2, 17)
-    ]
-    return (BIT_ERRORS_PER_SYMBOL_ERROR / BITS_PER_SYMBOL) * (1.0 / 16.0) * math.fsum(terms)
+    x = SYMBOL_SNR_FACTOR * snr_linear
+    return _BER_SCALE * math.fsum([c * math.exp(x * e) for c, e in _BER_TERMS])
 
 
 def uncoded_bit_error_prob(snr_linear: float) -> float:

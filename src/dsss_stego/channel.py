@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chipmap import CHIPS_PER_SYMBOL, ChipSequence, pack_chips
+from .chipmap import BLOCK_WORDS, CHIPS_PER_SYMBOL, ChipSequence, pack_chips
 
 # Recorded in every report so results can be reproduced bit for bit.
 GENERATOR_ID = "numpy-pcg64"
@@ -57,11 +57,16 @@ def transmit_stream(
 
     One uniform draw per chip, chip 0 of word 0 first.  Returns the received
     words and the number of flips (the chip error count as measured at the
-    channel, before any decoding).
+    channel, before any decoding).  The draws are made a block of words at a
+    time; the generator hands out its doubles in sequence, so they equal one
+    (N, 32) draw.
     """
     if params.p_chip == 0.0:
         return words.copy(), 0
-    flips = pack_chips(rng.random(words.shape + (CHIPS_PER_SYMBOL,)) < params.p_chip)
+    flips = np.empty(len(words), dtype=np.uint32)
+    for start in range(0, len(words), BLOCK_WORDS):
+        block = flips[start : start + BLOCK_WORDS]
+        block[:] = pack_chips(rng.random((len(block), CHIPS_PER_SYMBOL)) < params.p_chip)
     return words ^ flips, int(np.bitwise_count(flips).sum())
 
 

@@ -19,7 +19,9 @@ import numpy as np
 CHIPS_PER_SYMBOL = 32
 BITS_PER_SYMBOL = 4
 SYMBOL_VALUES = 1 << BITS_PER_SYMBOL
-_DECODE_CHUNK = 1 << 16  # words despread per block: bounds the (block, 16) distance table
+# Words per block of every per-word table (channel draw, despread, embed and
+# extract), so working memory stays flat however long the stream is.
+BLOCK_WORDS = 1 << 12
 
 # IEEE 802.15.4-2006, Table 73 (2450 MHz band), chip c0 first.  The values
 # are guarded by the pairwise-distance statistics test: any single-chip
@@ -146,9 +148,9 @@ def pack_chips(rows: np.ndarray) -> np.ndarray:
 def despread_stream(words: np.ndarray) -> np.ndarray:
     """Nearest-code symbol per word (ties to the lowest symbol)."""
     out = np.empty(len(words), dtype=np.uint8)
-    for start in range(0, len(words), _DECODE_CHUNK):
-        distances = np.bitwise_count(words[start : start + _DECODE_CHUNK, None] ^ _CODE_WORDS)
-        out[start : start + _DECODE_CHUNK] = distances.argmin(axis=1)
+    for start in range(0, len(words), BLOCK_WORDS):
+        block = slice(start, start + BLOCK_WORDS)
+        out[block] = np.bitwise_count(words[block, None] ^ _CODE_WORDS).argmin(axis=1)
     return out
 
 

@@ -1,0 +1,177 @@
+"""Per-word tables built one block of words at a time.
+
+The channel draw, despreading, embedding and extraction each loop over
+``chipmap.BLOCK_WORDS`` words.  Their outputs must equal the one-shot forms
+kept here as oracles, at lengths on either side of the block edges, and
+their working memory must not grow with the stream.
+"""
+
+import functools
+import json
+import operator
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import dsss_stego
+from dsss_stego.channel import ChannelParams, make_rng, transmit_stream
+from dsss_stego.chipmap import BLOCK_WORDS, CHIPS_PER_SYMBOL, code_matrix, despread_stream, pack_chips
+from dsss_stego.pipeline import decode_stream, encode_stream, slot_permutations
+from dsss_stego.stego import StegoKey, build_codebook, embed_words, extract_diffs, pattern_masks
+
+LENGTHS = (0, 1, BLOCK_WORDS - 1, BLOCK_WORDS, BLOCK_WORDS + 1, 2 * BLOCK_WORDS + 3)
+
+
+def random_perms(rng, n):
+    rows = np.tile(np.arange(CHIPS_PER_SYMBOL, dtype=np.uint8), (n, 1))
+    return rng.permuted(rows, axis=1)
+
+
+def whole_pattern_table(perms):
+    # every slot's 16 placed patterns at once: (n, 32) chip bits, 5 column gathers ORed
+    chip_bits = np.uint32(1) << perms.astype(np.uint32)
+    columns = build_codebook().positions.T
+    return functools.reduce(operator.ior, (chip_bits.take(column, axis=1) for column in columns))
+
+
+def test_block_is_4096_words():
+    assert BLOCK_WORDS == 4096
+
+
+@pytest.mark.parametrize("n", LENGTHS)
+def test_transmit_equals_one_draw(n):
+    # the same words, flip count and generator state after it as one (N, 32) draw
+    words = np.random.default_rng(n).integers(0, 1 << 32, n, dtype=np.uint32)
+    p, blocked, whole = 0.1, make_rng(5), make_rng(5)
+    flips = pack_chips(whole.random((n, CHIPS_PER_SYMBOL)) < p)
+    out, count = transmit_stream(words, ChannelParams(p), blocked)
+    assert out.dtype == np.uint32
+    assert np.array_equal(out, words ^ flips)
+    assert count == int(np.bitwise_count(flips).sum())
+    assert blocked.random() == whole.random()
+
+
+@pytest.mark.parametrize("n", LENGTHS)
+def test_despread_equals_one_table(n):
+    rng = np.random.default_rng(n)
+    one_flip = np.uint32(1) << rng.integers(0, CHIPS_PER_SYMBOL, n, dtype=np.uint32)
+    near = code_matrix()[rng.integers(0, 16, n)] ^ one_flip
+    far = rng.integers(0, 1 << 32, n, dtype=np.uint32)  # distance ties go to the lowest symbol
+    words = np.where(rng.random(n) < 0.5, near, far)
+    want = np.bitwise_count(words[:, None] ^ code_matrix()).argmin(axis=1)
+    got = despread_stream(words)
+    assert got.dtype == np.uint8
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("n", LENGTHS)
+def test_pattern_masks_equal_whole_pattern_table(n):
+    perms = random_perms(np.random.default_rng(n), n)
+    got = pattern_masks(perms)
+    assert got.dtype == np.uint32
+    assert np.array_equal(got, whole_pattern_table(perms))
+    assert np.array_equal(pattern_masks(perms.astype(np.int64)), got)  # any integer dtype
+
+
+@pytest.mark.parametrize("n", LENGTHS)
+def test_embed_equals_whole_pattern_table(n):
+    rng = np.random.default_rng(n)
+    words = rng.integers(0, 1 << 32, n, dtype=np.uint32)
+    symbols = rng.integers(0, 16, n).astype(np.uint8)
+    perms = random_perms(rng, n)
+    want = words ^ whole_pattern_table(perms)[np.arange(n), symbols]
+    got = embed_words(words, symbols, perms)
+    assert got.dtype == np.uint32
+    assert np.array_equal(got, want)
+    assert np.array_equal(embed_words(words, symbols, perms.astype(np.int64)), want)
+
+
+@pytest.mark.parametrize("n", LENGTHS)
+def test_extract_equals_whole_pattern_table(n):
+    rng = np.random.default_rng(n)
+    perms = random_perms(rng, n)
+    clean = embed_words(np.zeros(n, np.uint32), rng.integers(0, 16, n), perms)
+    noise = np.uint32(1) << rng.integers(0, CHIPS_PER_SYMBOL, n).astype(np.uint32)
+    diffs = np.where(rng.random(n) < 0.5, clean, clean ^ noise)  # exact and fallback slots
+    distances = np.bitwise_count(diffs[:, None] ^ whole_pattern_table(perms))
+    symbols, exact, weight = extract_diffs(diffs, perms)
+    assert (symbols.dtype, exact.dtype) == (np.uint8, bool)
+    assert np.array_equal(symbols, distances.argmin(axis=1))
+    assert np.array_equal(exact, distances.min(axis=1) == 0)
+    assert np.array_equal(weight, np.bitwise_count(diffs))
+
+
+def _traced_peak(call):
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+N_WORDS = 100_000
+MIB = 1 << 20
+
+
+def test_transmit_peak_is_flat():
+    # one (N, 32) float64 draw would be 25 MiB at this length
+    words = np.zeros(N_WORDS, dtype=np.uint32)
+    assert _traced_peak(lambda: transmit_stream(words, ChannelParams(0.1), make_rng(1))) <= 2 * MIB
+
+
+def test_despread_peak_is_flat():
+    words = np.random.default_rng(1).integers(0, 1 << 32, N_WORDS, dtype=np.uint32)
+    assert _traced_peak(lambda: despread_stream(words)) <= 1 * MIB
+
+
+@pytest.fixture(scope="module")
+def full_load():
+    # rate 1: every word is a slot; the permutations are derived untraced
+    key, slots = StegoKey.from_hex("ACE1"), np.arange(N_WORDS)
+    perms = slots, slot_permutations(key, slots)
+    rng = np.random.default_rng(3)
+    data = rng.integers(0, 2, 4 * N_WORDS, dtype=np.uint8)
+    stego = rng.integers(0, 2, 4 * N_WORDS, dtype=np.uint8)
+    return key, perms, data, stego
+
+
+def test_encode_peak_is_flat(full_load):
+    # a (slots, 16) pattern table would be 6 MiB here, and its (slots, 32) chip bits 12 MiB
+    key, perms, data, stego = full_load
+    assert _traced_peak(lambda: encode_stream(data, stego, key, 1.0, perms=perms)) <= 4 * MIB
+
+
+def test_decode_peak_is_flat(full_load):
+    key, perms, data, stego = full_load
+    words = encode_stream(data, stego, key, 1.0, perms=perms)
+    assert _traced_peak(lambda: decode_stream(words, key, 1.0, perms=perms)) <= 4 * MIB
+
+
+def test_clean_simulation_of_1e6_symbols_max_rss():
+    # a fresh interpreter, so the high-water mark belongs to this run alone
+    script = """
+import json, resource
+import dsss_stego
+from dsss_stego.channel import ChannelParams
+def run(n):
+    return dsss_stego.run_simulation(dsss_stego.SimConfig(
+        num_symbols=n, channel=ChannelParams.from_snr_db(0.0),
+        key=dsss_stego.StegoKey.from_hex("ACE1"), embed_rate=0.0, rng_seed=1))
+run(1000)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+report = run(1_000_000)
+after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+print(json.dumps({"grown_kb": after - before, "sent": report.symbols_sent}))
+"""
+    src = str(Path(dsss_stego.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
+    info = json.loads(out.stdout)
+    assert info["sent"] == 1_000_000
+    assert info["grown_kb"] < 64 * 1024

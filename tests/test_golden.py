@@ -43,11 +43,14 @@ PINS = {
 }
 
 # More simulate reports, taken before run_simulation shared one keyed stream
-# between its encoder and decoder.
+# between its encoder and decoder.  ``slots-cross-block`` was taken later,
+# while embed and extract still built their tables over all slots at once:
+# its 5330 covert slots span more than one 4096-word block.
 REPORT_PINS = {
     "fixed-prefix": "137e288da1e84e0f4d35903c0436ed1fb77d6168c4e96da620d4f0faff03886f",
     "rate1-6dB": "ee1f54535a3a28afd7f485e82baec4ec8047fc7a2b277a00e078167cc0ddd1e0",
     "p-chip-0.2": "27cf9767eee0bc72b9f8d012367b3a0246bb0db950f9c7d2bce1a4e81d16ecd9",
+    "slots-cross-block": "5e95da104f1d8665b0388968ef31eaaa039e27807565ddc4681abae95633b36e",
 }
 
 # The ``decode --diag-out`` sidecar of a noisy chip file, taken while each
@@ -138,6 +141,10 @@ def test_simulation_report_pinned(name, num_symbols, embed_rate):
         ),
         ("rate1-6dB", dict(num_symbols=600, channel=ChannelParams.from_snr_db(6), embed_rate=1.0)),
         ("p-chip-0.2", dict(num_symbols=2000, channel=ChannelParams(0.2), embed_rate=0.5)),
+        (
+            "slots-cross-block",
+            dict(num_symbols=9000, channel=ChannelParams(0.05), embed_rate=0.6),
+        ),
     ],
 )
 def test_more_simulation_reports_pinned(name, kwargs):
