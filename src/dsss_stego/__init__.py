@@ -35,7 +35,6 @@ from .pipeline import (
     SimConfig,
     SimReport,
     decode_stream,
-    embedding_schedule,
     encode_stream,
     run_simulation,
 )
@@ -46,6 +45,7 @@ from .stego import (
     StegoKey,
     build_codebook,
     embed,
+    embedding_schedule,
     extract,
 )
 

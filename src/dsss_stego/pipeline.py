@@ -1,8 +1,10 @@
-"""End-to-end Monte Carlo: bits -> symbols -> chips -> channel -> dual decode.
+"""Stream codec and end-to-end Monte Carlo: bits -> symbols -> chips ->
+channel -> dual decode.
 
-The carrier path is ordinary despreading; scheduled symbols additionally
-carry a covert 4-bit symbol read back by the keyed extractor.  Reports
-are bit-identical for identical configurations (seed included).
+The carrier path is ordinary despreading; the symbols that stego's keyed
+schedule selects additionally carry a covert 4-bit symbol, embedded and
+read back through stego's per-slot permutations.  Reports are
+bit-identical for identical configurations (seed included).
 """
 
 from __future__ import annotations
@@ -13,18 +15,10 @@ import numpy as np
 
 from .channel import GENERATOR_ID, ChannelParams, make_rng, transmit_stream
 from .chipmap import BITS_PER_SYMBOL, CHIPS_PER_SYMBOL, code_matrix, despread_stream
-from .stego import (
-    SECONDARY_TAPS,
-    StegoKey,
-    _expand_key,
-    embed_words,
-    extract_diffs,
-    key_registers,
-    lfsr_bits,
-    permutation_stream,
-)
+from .stego import StegoKey, embed_words, embedding_schedule, extract_diffs, slot_permutations
 
-_GROUP_WEIGHTS = np.array([8, 4, 2, 1], dtype=np.uint8)  # first bit is the MSB
+# a byte's two symbols: packbits and this lookup group 1e5 symbols about 5x faster than a matmul
+_NIBBLES = np.array([[b >> 4, b & 0xF] for b in range(256)], dtype=np.uint8)
 SlotPerms = tuple[np.ndarray, np.ndarray]  # (ascending scheduled slots, their (S, 32) perms)
 _SLOT_DTYPE = np.dtype([("symbol_index", np.intp), ("exact", bool), ("weight", np.uint8)])
 
@@ -33,42 +27,15 @@ class CapacityError(ValueError):
     """Covert payload exceeds what the embedding schedule can carry."""
 
 
-def embedding_schedule(key: StegoKey, embed_rate: float, num_symbols: int) -> np.ndarray:
-    """Keyed boolean mask: which stream symbols carry covert load.
-
-    Symbol i is scheduled iff a key-derived 16-bit uniform value for i,
-    scaled to [0, 1), falls below embed_rate.  Encoder and decoder derive
-    identical masks from the shared key; the long-run scheduled fraction
-    converges to embed_rate.
-    """
-    if not 0.0 <= embed_rate <= 1.0:
-        raise ValueError(f"embed_rate must be in [0, 1], got {embed_rate}")
-    if num_symbols < 0:
-        raise ValueError(f"num_symbols must be >= 0, got {num_symbols}")
-    if embed_rate == 0.0:
-        return np.zeros(num_symbols, dtype=bool)
-    if embed_rate == 1.0:
-        return np.ones(num_symbols, dtype=bool)
-    bits = lfsr_bits(_expand_key(key.seed), SECONDARY_TAPS, 16 * num_symbols)
-    draws = bits.reshape(num_symbols, 16) @ (1 << np.arange(15, -1, -1, dtype=np.uint32))
-    return (draws / 65536.0) < embed_rate
-
-
-def slot_permutations(key: StegoKey, slots: np.ndarray) -> np.ndarray:
-    """Keyed permutations of ascending stream slots, one (32,) row each."""
-    if slots.size == 0:
-        return np.zeros((0, CHIPS_PER_SYMBOL), dtype=np.uint8)
-    return permutation_stream(*key_registers(key), int(slots[-1]) + 1)[0][slots]
-
-
 def bits_to_symbols(bits: np.ndarray) -> np.ndarray:
     """Group bits 4 at a time into symbol values, first bit as the MSB."""
     bits = np.asarray(bits)
     if bits.size % BITS_PER_SYMBOL:
         raise ValueError(f"bit count must be divisible by 4, got {bits.size}")
-    if ((bits != 0) & (bits != 1)).any():
+    if np.count_nonzero(bits) != np.count_nonzero(bits == 1):  # a nonzero bit other than 1
         raise ValueError("bits must be 0 or 1")
-    return bits.astype(np.uint8).reshape(-1, BITS_PER_SYMBOL) @ _GROUP_WEIGHTS
+    packed = np.packbits(bits.astype(np.uint8, copy=False))  # 2 symbols a byte, high nibble first
+    return _NIBBLES.take(packed, axis=0).reshape(-1)[: bits.size // BITS_PER_SYMBOL]
 
 
 def symbols_to_bits(symbols: np.ndarray) -> np.ndarray:
@@ -251,26 +218,23 @@ def run_simulation(config: SimConfig) -> SimReport:
         data_bits = rng.integers(0, 2, BITS_PER_SYMBOL * n, dtype=np.uint8)
         stego_bits = rng.integers(0, 2, capacity, dtype=np.uint8)
     else:
-        data_bits = np.asarray(config.data_bits)
-        stego_bits = np.asarray([] if config.stego_bits is None else config.stego_bits)
+        data_bits = np.asarray(config.data_bits).reshape(-1)
+        stego_bits = np.asarray([] if config.stego_bits is None else config.stego_bits).reshape(-1)
         if data_bits.size != BITS_PER_SYMBOL * n:
             raise ValueError(
                 f"fixed payload has {data_bits.size} bits, expected {BITS_PER_SYMBOL * n}"
             )
-    sent_symbols = bits_to_symbols(data_bits)
     words = encode_stream(data_bits, stego_bits, config.key, config.embed_rate, perms=perms)
     received, chip_errors = transmit_stream(words, config.channel, rng)
     decoded = decode_stream(received, config.key, config.embed_rate, perms=perms)
-    decoded_symbols = bits_to_symbols(decoded.data_bits)
-    symbol_errors = int((decoded_symbols != sent_symbols).sum())
-    bit_errors = int(np.bitwise_count(decoded_symbols ^ sent_symbols).sum())
+    # error flags; a symbol's 4 read as one uint32 (about 100x faster than any(axis=1))
+    wrong = decoded.data_bits != data_bits
 
-    # covert stats cover only slots that actually carried payload bits
+    # covert stats count whole 4-bit groups only: a zero-padded last group is
+    # embedded but not counted
     n_stego = stego_bits.size // BITS_PER_SYMBOL
-    truth = bits_to_symbols(stego_bits[: 4 * n_stego])
-    got = bits_to_symbols(decoded.stego_bits)[:n_stego]
-    stego_errors = int((got != truth).sum())
-    stego_exact = int(decoded.slots.exact[:n_stego].sum())
+    covert = slice(BITS_PER_SYMBOL * n_stego)
+    stego_wrong = decoded.stego_bits[covert] != stego_bits[covert]
 
     return SimReport(
         num_symbols=n,
@@ -284,9 +248,9 @@ def run_simulation(config: SimConfig) -> SimReport:
         chips_sent=CHIPS_PER_SYMBOL * n,
         chip_errors=chip_errors,
         symbols_sent=n,
-        symbol_errors=symbol_errors,
-        carrier_bit_errors=bit_errors,
+        symbol_errors=np.count_nonzero(wrong.view(np.uint32)),
+        carrier_bit_errors=np.count_nonzero(wrong),
         stego_symbols_sent=n_stego,
-        stego_symbol_errors=stego_errors,
-        stego_exact_count=stego_exact,
+        stego_symbol_errors=np.count_nonzero(stego_wrong.view(np.uint32)),
+        stego_exact_count=int(decoded.slots.exact[:n_stego].sum()),
     )

@@ -10,8 +10,9 @@ The 16 canonical patterns come from a deterministic greedy scan of the
 C(32,5) = 201376 five-subsets in colexicographic order, keeping every
 pair of accepted patterns at symmetric difference >= 6 so that a single
 post-embedding chip error can never turn one valid pattern into another.
-Per-symbol scrambling permutes the 32 chip positions with a Fisher-Yates
-shuffle driven by a keyed LFSR bit stream.
+This module owns both keyed streams that sender and receiver share: the
+embedding schedule, which picks the symbols that carry covert load, and
+the per-symbol Fisher-Yates shuffles of the 32 chip positions.
 
 The keystream is made in bulk, bit-exact with stepping the registers one
 bit at a time: a register is linear over GF(2), so each 2^14-bit span of
@@ -124,15 +125,11 @@ class StegoKey:
         return f"{self.seed:04X}"
 
 
-def _expand_key(seed: int) -> int:
-    # injective 16 -> 32 bit expansion; never zero for a nonzero key
-    return ((seed & 0xFFFF) << 16) | (seed ^ 0xFFFF)
-
-
 def key_registers(key: StegoKey) -> tuple[int, int]:
-    """Seed states of the two permutation-stream registers."""
-    seed_a = _expand_key(key.seed)
-    return seed_a, (~seed_a) & 0xFFFFFFFF  # nonzero: seed_a is never all-ones
+    """Seed states of the two permutation-stream registers; the first also seeds the schedule."""
+    # injective 16 -> 32 bit expansion; for a nonzero key neither zero nor all-ones
+    seed_a = (key.seed << 16) | (key.seed ^ 0xFFFF)
+    return seed_a, (~seed_a) & 0xFFFFFFFF
 
 
 @functools.lru_cache(maxsize=2)  # one table per tap set in use
@@ -187,8 +184,7 @@ def _state_at(bits: np.ndarray, pos: int) -> int:
 # (window bound, draw width) of each Fisher-Yates swap i = 31..1: a w-bit draw
 # is the top w bits of a 5-bit stream window, rejected above i (no modulo bias)
 _DRAWS = tuple((((i + 1) << (5 - i.bit_length())) - 1, i.bit_length()) for i in range(31, 0, -1))
-_MEAN_BITS = 172        # keystream bits one permutation uses on average (171.8)
-_CHUNK = 4096           # permutations walked per stretch of generated stream
+_MEAN_BITS = 172  # keystream bits one permutation uses on average (171.8)
 
 
 def _walk(windows: bytes, accepted: bytearray, count: int) -> tuple[int, int]:
@@ -231,13 +227,14 @@ def permutation_stream(state_a: int, state_b: int, count: int) -> tuple[np.ndarr
 
     The keystream is the primary register's stream XOR the secondary's.
     Row k of the (count, 32) uint8 result maps codebook position p to chip
-    row[p].  The stream is made and walked a stretch at a time, each continued
-    from the states after the last whole permutation of the one before; one
-    that falls short doubles the slack of the next.
+    row[p].  The stream is made and walked a stretch of up to BLOCK_WORDS
+    permutations at a time, each continued from the states after the last
+    whole permutation of the one before; one that falls short doubles the
+    slack of the next.
     """
     accepted, done, slack = bytearray(), 0, 512
     while done < count:
-        todo = min(count - done, _CHUNK)
+        todo = min(count - done, BLOCK_WORDS)
         size = todo * (_MEAN_BITS + 8) + slack
         b = lfsr_bits(state_b, SECONDARY_TAPS, size)
         keystream = lfsr_bits(state_a, PRIMARY_TAPS, size) ^ b
@@ -253,6 +250,32 @@ def permutation_stream(state_a: int, state_b: int, count: int) -> tuple[np.ndarr
         state_a = _state_at(keystream, pos) ^ state_b
     perms = _shuffle(np.frombuffer(accepted, dtype=np.uint8).reshape(count, len(_DRAWS)))
     return perms, state_a, state_b
+
+
+def embedding_schedule(key: StegoKey, embed_rate: float, num_symbols: int) -> np.ndarray:
+    """Keyed boolean mask: which stream symbols carry covert load.
+
+    Symbol i is scheduled iff bits 16i..16i+15 of the secondary-tap register
+    seeded with key_registers(key)[0], read MSB first and scaled to [0, 1),
+    fall below embed_rate.  Encoder and decoder derive identical masks from the
+    shared key; the long-run scheduled fraction converges to embed_rate.
+    """
+    if not 0.0 <= embed_rate <= 1.0:
+        raise ValueError(f"embed_rate must be in [0, 1], got {embed_rate}")
+    if num_symbols < 0:
+        raise ValueError(f"num_symbols must be >= 0, got {num_symbols}")
+    if embed_rate in (0.0, 1.0):
+        return np.full(num_symbols, embed_rate == 1.0)
+    bits = lfsr_bits(key_registers(key)[0], SECONDARY_TAPS, 16 * num_symbols)
+    draws = bits.reshape(num_symbols, 16) @ (1 << np.arange(15, -1, -1, dtype=np.uint32))
+    return (draws / 65536.0) < embed_rate
+
+
+def slot_permutations(key: StegoKey, slots: np.ndarray) -> np.ndarray:
+    """Keyed permutations of ascending stream slots, one (32,) row each."""
+    if slots.size == 0:
+        return np.zeros((0, CHIPS_PER_SYMBOL), dtype=np.uint8)
+    return permutation_stream(*key_registers(key), int(slots[-1]) + 1)[0][slots]
 
 
 class KeySchedule:
@@ -276,11 +299,6 @@ class KeySchedule:
         self._start = 0
         self._block = np.empty((0, CHIPS_PER_SYMBOL), dtype=np.uint8)
         self._states = key_registers(self.key)
-
-    @property
-    def lfsr_state(self) -> int:
-        """Both register states after the generated symbols, packed; never zero."""
-        return (self._states[0] << 32) | self._states[1]
 
     @property
     def symbol_counter(self) -> int:

@@ -262,7 +262,7 @@ def test_permutations_match_scalar_oracle(key_hex):
 def test_short_stretches_continue_exactly(monkeypatch):
     # undersized stretches make the walk run out mid-permutation again and again
     monkeypatch.setattr(stego, "_MEAN_BITS", 20)
-    monkeypatch.setattr(stego, "_CHUNK", 7)
+    monkeypatch.setattr(stego, "BLOCK_WORDS", 7)
     key = StegoKey.from_hex("ACE1")
     perms, _, _ = permutation_stream(*key_registers(key), 300)
     assert [tuple(p) for p in perms.tolist()] == oracle_permutations(key.seed, 300)

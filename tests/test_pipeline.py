@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from dsss_stego import pipeline
+from dsss_stego import pipeline, stego
 from dsss_stego.channel import ChannelParams
 from dsss_stego.chipmap import CHIP_TABLE, ChipSequence, code_matrix, decode_chips
 from dsss_stego.pipeline import (
@@ -132,29 +132,36 @@ def test_decode_clean_stream_with_expectant_schedule():
 
 # -- one keyed stream per transmission ------------------------------------------
 
-def _count_calls(monkeypatch, name):
+def _count_calls(monkeypatch, module, name):
     calls = []
-    original = getattr(pipeline, name)
+    original = getattr(module, name)
 
     def counted(*args):
         calls.append(args)
         return original(*args)
 
-    monkeypatch.setattr(pipeline, name, counted)
+    monkeypatch.setattr(module, name, counted)
     return calls
 
 
 def test_simulation_derives_schedule_and_permutations_once(monkeypatch):
-    streams = _count_calls(monkeypatch, "permutation_stream")
-    schedules = _count_calls(monkeypatch, "embedding_schedule")
+    streams = _count_calls(monkeypatch, stego, "permutation_stream")
+    schedules = _count_calls(monkeypatch, pipeline, "embedding_schedule")
     run_simulation(_config(num_symbols=500, channel=ChannelParams(0.05), embed_rate=0.5))
     assert (len(streams), len(schedules)) == (1, 1)
     run_simulation(_config(num_symbols=500, embed_rate=0.0))
     assert len(streams) == 1
 
 
+def test_simulation_groups_bits_into_symbols_only_to_encode(monkeypatch):
+    # the error counts read the bit arrays; only encode_stream groups data and covert bits
+    groupings = _count_calls(monkeypatch, pipeline, "bits_to_symbols")
+    run_simulation(_config(num_symbols=500, channel=ChannelParams(0.05), embed_rate=0.5))
+    assert len(groupings) <= 2
+
+
 def test_standalone_encoder_derives_only_up_to_its_payload(monkeypatch):
-    streams = _count_calls(monkeypatch, "permutation_stream")
+    streams = _count_calls(monkeypatch, stego, "permutation_stream")
     data = random_bits(np.random.default_rng(6), 4000)  # 1000 symbols
     encode_stream(data, np.ones(12, dtype=np.uint8), KEY, 1.0)
     assert [args[-1] for args in streams] == [3]
