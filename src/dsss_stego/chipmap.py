@@ -11,6 +11,7 @@ one uint32 word with chip i at bit i, and a stream is an (N,) uint32 array.
 from __future__ import annotations
 
 import functools
+from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, NamedTuple
 
@@ -46,6 +47,7 @@ CHIP_TABLE = (
 )
 
 
+@dataclass(frozen=True, slots=True, repr=False)
 class ChipSequence:
     """Immutable 32-chip word; chip index 0 is transmitted first.
 
@@ -55,15 +57,11 @@ class ChipSequence:
     '0'/'1' string with chip 0 leftmost.
     """
 
-    __slots__ = ("word",)
+    word: int
 
-    def __init__(self, word: int):
-        if not 0 <= word < (1 << CHIPS_PER_SYMBOL):
-            raise ValueError(f"chip word out of range: {word}")
-        object.__setattr__(self, "word", word)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ChipSequence is immutable")
+    def __post_init__(self):
+        if not 0 <= self.word < (1 << CHIPS_PER_SYMBOL):
+            raise ValueError(f"chip word out of range: {self.word}")
 
     @classmethod
     def from_string(cls, text: str) -> "ChipSequence":
@@ -88,12 +86,6 @@ class ChipSequence:
                 raise ValueError(f"chip position out of range: {p}")
             mask |= 1 << p
         return ChipSequence(self.word ^ mask)
-
-    def __eq__(self, other):
-        return isinstance(other, ChipSequence) and self.word == other.word
-
-    def __hash__(self):
-        return hash(self.word)
 
     def __len__(self):
         return CHIPS_PER_SYMBOL

@@ -17,8 +17,9 @@ the per-symbol Fisher-Yates shuffles of the 32 chip positions.
 The keystream is made in bulk, bit-exact with stepping the registers one
 bit at a time: a register is linear over GF(2), so each 2^14-bit span of
 its stream is an XOR of rows of a key-independent table (``_basis``), and
-its state, the next 32 bits, continues it exactly.  One flat walk reads
-the rejection-sampled Fisher-Yates draws; the swaps run over all symbols.
+its state, the next 32 bits, continues it exactly.  The walk reads the
+rejection-sampled Fisher-Yates draws one stretch of stream at a time, and
+the swaps run over only the rows asked for, so no whole-stream table is made.
 """
 
 from __future__ import annotations
@@ -187,10 +188,11 @@ _DRAWS = tuple((((i + 1) << (5 - i.bit_length())) - 1, i.bit_length()) for i in 
 _MEAN_BITS = 172  # keystream bits one permutation uses on average (171.8)
 
 
-def _walk(windows: bytes, accepted: bytearray, count: int) -> tuple[int, int]:
-    """Append the accepted windows of up to `count` permutations; return how many
-    fit and the stream position after them.  windows[p] holds bits p..p+4, MSB first."""
-    append, base, pos, start = accepted.append, len(accepted), 0, 0
+def _walk(windows: bytes, count: int) -> tuple[int, int, bytearray]:
+    """How many of up to `count` permutations fit, the stream position after them and
+    their accepted windows, 31 each.  windows[p] holds bits p..p+4, MSB first."""
+    accepted = bytearray()
+    append, pos, start = accepted.append, 0, 0
     try:
         for done in range(count):
             start = pos
@@ -202,9 +204,9 @@ def _walk(windows: bytes, accepted: bytearray, count: int) -> tuple[int, int]:
                     pos += width
                 append(j)
     except IndexError:  # past the windows: drop the partial permutation
-        del accepted[base + len(_DRAWS) * done :]
-        return done, start
-    return count, pos
+        del accepted[len(_DRAWS) * done :]
+        return done, start, accepted
+    return count, pos, accepted
 
 
 def _shuffle(accepted: np.ndarray) -> np.ndarray:
@@ -222,17 +224,19 @@ def _shuffle(accepted: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(perms.T)
 
 
-def permutation_stream(state_a: int, state_b: int, count: int) -> tuple[np.ndarray, int, int]:
-    """The next `count` keyed permutations and the register states after them.
+def permutation_stream(state_a: int, state_b: int, rows: np.ndarray) -> tuple[np.ndarray, int, int]:
+    """The permutations at ascending stream offsets `rows` and the register states after the last.
 
     The keystream is the primary register's stream XOR the secondary's.
-    Row k of the (count, 32) uint8 result maps codebook position p to chip
-    row[p].  The stream is made and walked a stretch of up to BLOCK_WORDS
-    permutations at a time, each continued from the states after the last
-    whole permutation of the one before; one that falls short doubles the
-    slack of the next.
+    Row k of the (len(rows), 32) uint8 result maps codebook position p to
+    chip row[p].  The stream is made and walked a stretch of up to
+    BLOCK_WORDS permutations at a time, each continued from the states after
+    the last whole permutation of the one before; one that falls short
+    doubles the slack of the next.  A stretch shuffles only its rows asked for.
     """
-    accepted, done, slack = bytearray(), 0, 512
+    out = np.empty((len(rows), CHIPS_PER_SYMBOL), dtype=np.uint8)
+    done, kept, slack = 0, 0, 512
+    count = int(rows[-1]) + 1 if len(rows) else 0
     while done < count:
         todo = min(count - done, BLOCK_WORDS)
         size = todo * (_MEAN_BITS + 8) + slack
@@ -243,13 +247,15 @@ def permutation_stream(state_a: int, state_b: int, count: int) -> tuple[np.ndarr
         for k in range(1, 5):
             windows <<= 1
             windows |= keystream[k : m + k]
-        walked, pos = _walk(windows.tobytes(), accepted, todo)
+        walked, pos, accepted = _walk(windows.tobytes(), todo)
         slack *= 1 if walked == todo else 2
-        done += walked
+        table = np.frombuffer(accepted, dtype=np.uint8).reshape(walked, len(_DRAWS))
+        end = int(np.searchsorted(rows, done + walked))
+        out[kept:end] = _shuffle(table[rows[kept:end] - done])
+        kept, done = end, done + walked
         state_b = _state_at(b, pos)
         state_a = _state_at(keystream, pos) ^ state_b
-    perms = _shuffle(np.frombuffer(accepted, dtype=np.uint8).reshape(count, len(_DRAWS)))
-    return perms, state_a, state_b
+    return out, state_a, state_b
 
 
 def embedding_schedule(key: StegoKey, embed_rate: float, num_symbols: int) -> np.ndarray:
@@ -267,26 +273,26 @@ def embedding_schedule(key: StegoKey, embed_rate: float, num_symbols: int) -> np
     if embed_rate in (0.0, 1.0):
         return np.full(num_symbols, embed_rate == 1.0)
     bits = lfsr_bits(key_registers(key)[0], SECONDARY_TAPS, 16 * num_symbols)
-    draws = bits.reshape(num_symbols, 16) @ (1 << np.arange(15, -1, -1, dtype=np.uint32))
-    return (draws / 65536.0) < embed_rate
+    # d / 65536 < r as d < r * 65536: both are exact power-of-two scalings
+    return np.packbits(bits).view(">u2") < embed_rate * 65536.0
 
 
 def slot_permutations(key: StegoKey, slots: np.ndarray) -> np.ndarray:
     """Keyed permutations of ascending stream slots, one (32,) row each."""
     if slots.size == 0:
         return np.zeros((0, CHIPS_PER_SYMBOL), dtype=np.uint8)
-    return permutation_stream(*key_registers(key), int(slots[-1]) + 1)[0][slots]
+    return permutation_stream(*key_registers(key), slots)[0]
 
 
 class KeySchedule:
     """Cursor over the keyed permutation stream (key rotation: symbol i's
     permutation continues the keystream where permutations 0..i-1 left it).
 
-    It keeps only the last BLOCK permutations and the register states after
-    them, so its memory does not grow with the stream.  Forward access
-    generates up to the index in steps doubling up to BLOCK; access before
-    the block replays from symbol 0.  Do not share one instance between
-    concurrent encoders; instances with the same key are equivalent.
+    It keeps one block of BLOCK permutations and the register states after
+    it, so its memory does not grow with the stream.  Forward access walks
+    on a block at a time from those states; access before the block replays
+    from symbol 0.  Do not share one instance between concurrent encoders;
+    instances with the same key are equivalent.
     """
 
     BLOCK = 1024
@@ -312,10 +318,8 @@ class KeySchedule:
         if symbol_index < self._start:
             self._rewind()
         while symbol_index >= (end := self.symbol_counter):
-            step = min(self.BLOCK, max(symbol_index + 1 - end, end, 64))
-            perms, *states = permutation_stream(*self._states, step)
-            self._block = np.concatenate((self._block, perms))[-self.BLOCK :]
-            self._start, self._states = end + step - len(self._block), tuple(states)
+            self._block, *states = permutation_stream(*self._states, np.arange(self.BLOCK))
+            self._start, self._states = end, tuple(states)
         return tuple(self._block[symbol_index - self._start].tolist())
 
 
@@ -371,6 +375,8 @@ def extract_diffs(
 
 
 def _as_batch(permutation: tuple[int, ...]) -> np.ndarray:
+    if sorted(permutation) != list(range(CHIPS_PER_SYMBOL)):
+        raise ValueError(f"not a permutation of range(32): {permutation}")
     return np.array([permutation], dtype=np.uint8)
 
 

@@ -1,9 +1,11 @@
 """Per-word tables built one block of words at a time.
 
 The channel draw, despreading, embedding and extraction each loop over
-``chipmap.BLOCK_WORDS`` words.  Their outputs must equal the one-shot forms
-kept here as oracles, at lengths on either side of the block edges, and
-their working memory must not grow with the stream.
+``chipmap.BLOCK_WORDS`` words, and the keyed permutation walk over stretches
+of up to as many permutations, keeping only the rows asked for.  Their
+outputs must equal the one-shot forms kept here as oracles, at lengths on
+either side of the block edges, and their working memory must not grow with
+the stream beyond their results.
 """
 
 import functools
@@ -19,10 +21,20 @@ import numpy as np
 import pytest
 
 import dsss_stego
+from dsss_stego import stego
 from dsss_stego.channel import ChannelParams, make_rng, transmit_stream
 from dsss_stego.chipmap import BLOCK_WORDS, CHIPS_PER_SYMBOL, code_matrix, despread_stream, pack_chips
 from dsss_stego.pipeline import decode_stream, encode_stream, slot_permutations
-from dsss_stego.stego import StegoKey, build_codebook, embed_words, extract_diffs, pattern_masks
+from dsss_stego.stego import (
+    StegoKey,
+    build_codebook,
+    embed_words,
+    embedding_schedule,
+    extract_diffs,
+    key_registers,
+    pattern_masks,
+    permutation_stream,
+)
 
 LENGTHS = (0, 1, BLOCK_WORDS - 1, BLOCK_WORDS, BLOCK_WORDS + 1, 2 * BLOCK_WORDS + 3)
 
@@ -106,6 +118,58 @@ def test_extract_equals_whole_pattern_table(n):
     assert np.array_equal(weight, np.bitwise_count(diffs))
 
 
+KEY = StegoKey.from_hex("ACE1")
+
+
+@pytest.fixture(scope="module")
+def whole_table():
+    # every permutation up to offset 9000 in one walk, for the slot sets to gather from
+    return permutation_stream(*key_registers(KEY), np.arange(9001))[0]
+
+
+@pytest.mark.parametrize(
+    "slots",
+    [
+        np.arange(0),
+        np.array([9000]),
+        np.arange(1, 9001, 2),
+        np.arange(4095),
+        np.arange(4096),
+        np.arange(4097),
+        np.arange(8195),
+        np.array([0, 4095, 4096, 8191, 8192, 8193]),
+    ],
+    ids=["none", "9000", "odd", "4095", "4096", "4097", "8195", "edges"],
+)
+def test_slot_permutations_equal_whole_table_gather(whole_table, slots):
+    got = slot_permutations(KEY, slots)
+    assert got.shape == (slots.size, CHIPS_PER_SYMBOL) and got.dtype == np.uint8
+    assert np.array_equal(got, whole_table[slots])
+
+
+def test_rows_either_side_of_a_short_stretch(monkeypatch, whole_table):
+    # undersized stretches end short of their count; the rows on either side of
+    # each stretch end, up to the same last row, must keep their offsets
+    monkeypatch.setattr(stego, "_MEAN_BITS", 100)
+    monkeypatch.setattr(stego, "BLOCK_WORDS", 64)
+    walk, walks = stego._walk, []
+
+    def recorded_walk(windows, count):
+        result = walk(windows, count)
+        walks.append((count, result[0]))
+        return result
+
+    monkeypatch.setattr(stego, "_walk", recorded_walk)
+    last = 700
+    slot_permutations(KEY, np.array([last]))
+    stretches, walks[:] = walks[:], []
+    assert any(walked < count for count, walked in stretches)
+    ends = np.cumsum([walked for _, walked in stretches])[:-1]
+    slots = np.unique(np.concatenate((ends - 1, ends, [last])))
+    assert np.array_equal(slot_permutations(KEY, slots), whole_table[slots])
+    assert walks == stretches  # the same stretch ends: they depend on the last row only
+
+
 def _traced_peak(call):
     tracemalloc.start()
     try:
@@ -130,15 +194,45 @@ def test_despread_peak_is_flat():
     assert _traced_peak(lambda: despread_stream(words)) <= 1 * MIB
 
 
+def _replayed_walk_peak(monkeypatch, call, walked, want):
+    # Under tracemalloc each Python int the walk makes is traced, which slows it
+    # about 9x.  So the traced call replays the walks of an untraced one in
+    # order, each accepted buffer copied so that its bytes still count.
+    replay = iter(walked)
+
+    def replayed(windows, count):
+        done, pos, accepted = next(replay)
+        return done, pos, bytearray(accepted)
+
+    monkeypatch.setattr(stego, "_walk", replayed)
+    got = []
+    peak = _traced_peak(lambda: got.append(call()))
+    assert next(replay, None) is None and np.array_equal(got[0], want)
+    return peak
+
+
 @pytest.fixture(scope="module")
-def full_load():
-    # rate 1: every word is a slot; the permutations are derived untraced
-    key, slots = StegoKey.from_hex("ACE1"), np.arange(N_WORDS)
-    perms = slots, slot_permutations(key, slots)
+def full_walk():
+    # rate 1: every word is a slot; the permutations are derived untraced, and
+    # the results of the walks they took are kept, in order, to be replayed
+    walk, walked = stego._walk, []
+
+    def recorded(windows, count):
+        walked.append(walk(windows, count))
+        return walked[-1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(stego, "_walk", recorded)
+        return slot_permutations(KEY, np.arange(N_WORDS)), walked
+
+
+@pytest.fixture(scope="module")
+def full_load(full_walk):
+    perms = np.arange(N_WORDS), full_walk[0]
     rng = np.random.default_rng(3)
     data = rng.integers(0, 2, 4 * N_WORDS, dtype=np.uint8)
     stego = rng.integers(0, 2, 4 * N_WORDS, dtype=np.uint8)
-    return key, perms, data, stego
+    return KEY, perms, data, stego
 
 
 def test_encode_peak_is_flat(full_load):
@@ -151,6 +245,28 @@ def test_decode_peak_is_flat(full_load):
     key, perms, data, stego = full_load
     words = encode_stream(data, stego, key, 1.0, perms=perms)
     assert _traced_peak(lambda: decode_stream(words, key, 1.0, perms=perms)) <= 4 * MIB
+
+
+def test_slot_permutations_peak_is_the_result_and_one_stretch(monkeypatch, full_walk):
+    # the (N, 32) result is 3.05 MiB; a whole-stream table peaked near 150 B a slot
+    perms, walked = full_walk
+    call = functools.partial(slot_permutations, KEY, np.arange(N_WORDS))
+    assert _replayed_walk_peak(monkeypatch, call, walked, perms) <= 8 * MIB
+
+
+def test_half_load_slot_permutations_peak(monkeypatch, full_walk):
+    # half the rows of the same stream, whose walk keeps only those
+    perms, walked = full_walk
+    slots = np.nonzero(embedding_schedule(KEY, 0.5, N_WORDS))[0]
+    assert slots[-1] == N_WORDS - 1  # the same last row: the walk of rate 1, replayed
+    call = functools.partial(slot_permutations, KEY, slots)
+    assert _replayed_walk_peak(monkeypatch, call, walked, perms[slots]) <= 6 * MIB
+
+
+def test_schedule_peak():
+    # the 16 register bits a symbol are 1.5 MiB here; an (N, 16) uint32 matmul was 6 MiB
+    embedding_schedule(KEY, 0.5, 10)  # the cached basis is built untraced
+    assert _traced_peak(lambda: embedding_schedule(KEY, 0.5, N_WORDS)) <= 3 * MIB
 
 
 def test_clean_simulation_of_1e6_symbols_max_rss():

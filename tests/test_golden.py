@@ -251,11 +251,11 @@ def test_register_bits_match_scalar_oracle(seed, taps):
 def test_permutations_match_scalar_oracle(key_hex):
     key = StegoKey.from_hex(key_hex)
     want = oracle_permutations(key.seed, 1100)
-    perms, _, _ = permutation_stream(*key_registers(key), 1100)
+    perms, _, _ = permutation_stream(*key_registers(key), np.arange(1100))
     assert [tuple(p) for p in perms.tolist()] == want
     # continuing from saved register states is exact
-    head, a, b = permutation_stream(*key_registers(key), 333)
-    tail, _, _ = permutation_stream(a, b, 1100 - 333)
+    head, a, b = permutation_stream(*key_registers(key), np.arange(333))
+    tail, _, _ = permutation_stream(a, b, np.arange(1100 - 333))
     assert [tuple(p) for p in head.tolist() + tail.tolist()] == want
 
 
@@ -264,16 +264,21 @@ def test_short_stretches_continue_exactly(monkeypatch):
     monkeypatch.setattr(stego, "_MEAN_BITS", 20)
     monkeypatch.setattr(stego, "BLOCK_WORDS", 7)
     key = StegoKey.from_hex("ACE1")
-    perms, _, _ = permutation_stream(*key_registers(key), 300)
+    perms, _, _ = permutation_stream(*key_registers(key), np.arange(300))
     assert [tuple(p) for p in perms.tolist()] == oracle_permutations(key.seed, 300)
-    empty, a, b = permutation_stream(*key_registers(key), 0)
+    empty, a, b = permutation_stream(*key_registers(key), np.arange(0))
     assert empty.shape == (0, 32) and (a, b) == key_registers(key)
 
 
+@pytest.fixture(scope="module")
+def schedule_oracle():
+    # made once for both block sizes: the scalar oracle is most of the test's time
+    return oracle_permutations(0x7D3B, 2200)
+
+
 @pytest.mark.parametrize("block", [KeySchedule.BLOCK, 50])
-def test_key_schedule_random_and_backward_access(block):
-    key = StegoKey.from_hex("7D3B")
-    want = oracle_permutations(key.seed, 2200)
+def test_key_schedule_random_and_backward_access(block, schedule_oracle):
+    key, want = StegoKey.from_hex("7D3B"), schedule_oracle
     sched = KeySchedule(key)
     sched.BLOCK = block
     for i in (5, 1099, 0, 1023, 1024, 64, 700, 2199, 3, 49, 50, 51, 1100, 1099):
@@ -283,11 +288,19 @@ def test_key_schedule_random_and_backward_access(block):
     assert [fresh.permutation(i) for i in range(2200)] == want
 
 
-@pytest.mark.parametrize("rate", [0.001, 0.37, 0.999])
-def test_schedule_mask_matches_scalar_oracle(rate):
+@pytest.fixture(scope="module")
+def schedule_draws():
+    # the first 5000 16-bit schedule draws of REF_KEY, MSB first
     key = StegoKey.from_hex(REF_KEY)
-    n = 5000
-    bits = oracle_bits((key.seed << 16) | (key.seed ^ 0xFFFF), SECONDARY_TAPS, 16 * n)
-    draws = [int("".join(map(str, bits[16 * i : 16 * i + 16])), 2) for i in range(n)]
-    want = [d / 65536.0 < rate for d in draws]
-    assert dsss_stego.embedding_schedule(key, rate, n).tolist() == want
+    bits = oracle_bits((key.seed << 16) | (key.seed ^ 0xFFFF), SECONDARY_TAPS, 16 * 5000)
+    return [int("".join(map(str, bits[16 * i : 16 * i + 16])), 2) for i in range(5000)]
+
+
+# the dyadic rates put r * 65536 on, beside or below a 16-bit draw
+@pytest.mark.parametrize(
+    "rate", [0.001, 0.37, 0.999, 2**-16, 2**-17, 0.5, 1 - 2**-16, 12345 / 65536]
+)
+def test_schedule_mask_matches_scalar_oracle(rate, schedule_draws):
+    key = StegoKey.from_hex(REF_KEY)
+    want = [d / 65536.0 < rate for d in schedule_draws]
+    assert dsss_stego.embedding_schedule(key, rate, len(want)).tolist() == want

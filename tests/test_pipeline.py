@@ -164,7 +164,7 @@ def test_standalone_encoder_derives_only_up_to_its_payload(monkeypatch):
     streams = _count_calls(monkeypatch, stego, "permutation_stream")
     data = random_bits(np.random.default_rng(6), 4000)  # 1000 symbols
     encode_stream(data, np.ones(12, dtype=np.uint8), KEY, 1.0)
-    assert [args[-1] for args in streams] == [3]
+    assert [args[-1].tolist() for args in streams] == [[0, 1, 2]]
 
 
 def test_shared_permutations_match_standalone_derivation():

@@ -143,12 +143,12 @@ def test_lfsr_pair_keystream():
 
     words = combined(0xDEADBEEF, 0x12345678)
     assert (words == combined(0xDEADBEEF, 0x12345678)).all()
-    _, a, b = permutation_stream(0xDEADBEEF, 0x12345678, 64)
+    _, a, b = permutation_stream(0xDEADBEEF, 0x12345678, np.arange(64))
     assert a != 0 and b != 0
     # combined stream differs from either component stream
     assert (words != lfsr_bits(0xDEADBEEF, PRIMARY_TAPS, 1024)).any()
     with pytest.raises(ValueError):
-        permutation_stream(0, 1, 1)
+        permutation_stream(0, 1, np.arange(1))
 
 
 def test_keystream_memory_bounded():
@@ -233,7 +233,7 @@ def test_stretch_too_short_for_one_permutation_grows(monkeypatch):
     # a first stretch of 84 windows holds no whole permutation; the slack must
     # grow until one fits, and the output must not depend on where stretches end
     states = stego.key_registers(StegoKey.from_hex("ACE1"))
-    want, *want_states = permutation_stream(*states, 5)
+    want, *want_states = permutation_stream(*states, np.arange(5))
     monkeypatch.setattr(stego, "BLOCK_WORDS", 1)
     monkeypatch.setattr(stego, "_MEAN_BITS", -400)
     lfsr, walk, streams, walked = stego.lfsr_bits, stego._walk, [], []
@@ -250,7 +250,7 @@ def test_stretch_too_short_for_one_permutation_grows(monkeypatch):
 
     monkeypatch.setattr(stego, "lfsr_bits", counted_lfsr)
     monkeypatch.setattr(stego, "_walk", recorded_walk)
-    got, *got_states = permutation_stream(*states, 5)
+    got, *got_states = permutation_stream(*states, np.arange(5))
     assert walked[0] == 0
     assert np.array_equal(got, want) and got_states == want_states
 
@@ -319,6 +319,15 @@ def test_embed_identity_permutation_flips_base_pattern():
     identity = tuple(range(32))
     out = embed_with_permutation(map_symbol(0), 0, identity)
     assert out == map_symbol(0).flip([0, 1, 2, 3, 4])
+
+
+@pytest.mark.parametrize("bad", [(0,) * 32, tuple(range(31)), tuple(range(1, 33))])
+def test_scalar_calls_reject_a_non_permutation(bad):
+    # a repeated position would flip fewer than 5 chips and read back as exact
+    with pytest.raises(ValueError, match="not a permutation"):
+        embed_with_permutation(map_symbol(0), 3, bad)
+    with pytest.raises(ValueError, match="not a permutation"):
+        extract_with_permutation(map_symbol(0).flip([0, 1, 2, 3, 4]), bad)
 
 
 def test_embed_weight_is_five_for_all_pairs():
