@@ -124,6 +124,7 @@ def code_set_stats() -> CodeSetStats:
 
 _CODE_WORDS = np.array([c.word for c in standard_code_set()], dtype=np.uint32)
 _CODE_WORDS.setflags(write=False)
+_CANDIDATE_INDEX = np.arange(SYMBOL_VALUES, dtype=np.uint16)[:, None]  # the low 4 bits of a key
 
 
 def code_matrix() -> np.ndarray:
@@ -137,12 +138,23 @@ def pack_chips(rows: np.ndarray) -> np.ndarray:
     return packed.view("<u4")[..., 0].astype(np.uint32, copy=False)
 
 
+def nearest(words: np.ndarray, candidates: np.ndarray) -> np.ndarray:
+    """``distance << 4 | index`` of each word's nearest of 16 candidates, (16, 1) or (16, n).
+
+    One minimum over the 16 rows of keys decides every word: ``key & 0xF`` is
+    the nearest index with ties to the lowest, and ``key < 16`` marks distance 0.
+    """
+    keys = np.bitwise_count(words ^ candidates).astype(np.uint16) << 4  # distance <= 32
+    keys |= _CANDIDATE_INDEX
+    return np.minimum.reduce(keys, axis=0)
+
+
 def despread_stream(words: np.ndarray) -> np.ndarray:
-    """Nearest-code symbol per word (ties to the lowest symbol)."""
+    """Nearest-code symbol per word, ties to the lowest symbol, a block of words at a time."""
     out = np.empty(len(words), dtype=np.uint8)
     for start in range(0, len(words), BLOCK_WORDS):
         block = slice(start, start + BLOCK_WORDS)
-        out[block] = np.bitwise_count(words[block, None] ^ _CODE_WORDS).argmin(axis=1)
+        out[block] = nearest(words[block], _CODE_WORDS[:, None]) & 0xF
     return out
 
 

@@ -21,7 +21,7 @@ import numpy as np
 from . import analysis
 from .analysis import PerformanceModelParams, sensitivity_curve, stego_alphabet_size
 from .channel import ChannelParams
-from .chipmap import code_set_stats
+from .chipmap import BLOCK_WORDS, code_set_stats
 from .fileio import ChipStreamFormatError, read_chip_stream, write_chip_stream
 from .pipeline import (
     CapacityError,
@@ -206,9 +206,11 @@ def _cmd_decode(args) -> int:
     if args.stego_out is not None:
         Path(args.stego_out).write_bytes(np.packbits(decoded.stego_bits).tobytes())
     if args.diag_out is not None:
-        rows = ["slot_index,exact,diff_weight"]
-        rows += ["%d,%d,%d" % row for row in decoded.slots.tolist()]  # symbol_index, exact, weight
-        Path(args.diag_out).write_text("\n".join(rows) + "\n")
+        with open(args.diag_out, "w") as out:  # a block of rows a write, never the whole CSV
+            out.write("slot_index,exact,diff_weight\n")
+            for start in range(0, len(decoded.slots), BLOCK_WORDS):
+                rows = decoded.slots[start : start + BLOCK_WORDS].tolist()
+                out.write("".join(["%d,%d,%d\n" % row for row in rows]))  # index, exact, weight
     return 0
 
 

@@ -32,7 +32,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .chipmap import BLOCK_WORDS, CHIPS_PER_SYMBOL, ChipSequence, code_matrix, decode_chips
+from .chipmap import BLOCK_WORDS, CHIPS_PER_SYMBOL, ChipSequence, code_matrix, decode_chips, nearest
 
 PATTERN_WEIGHT = 5          # = floor((d_min - 1) / 2) for d_min = 12: the correction radius
 MIN_PATTERN_SEPARATION = 6  # symmetric-difference floor between patterns
@@ -360,17 +360,17 @@ def extract_diffs(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Covert symbols, exact flags and weights of diff words (received XOR nearest code).
 
-    The symbol is the pattern at the least symmetric difference from the diff
-    (ties to the lowest symbol); only a zero difference is exact.  The (block,
-    16) distance table is built a block of words at a time.
+    The symbol is the placed pattern at the least symmetric difference from the
+    diff (ties to the lowest symbol), by ``chipmap.nearest`` a block of words
+    at a time; only a zero difference is exact.
     """
     symbols = np.empty(len(diffs), dtype=np.uint8)
     exact = np.empty(len(diffs), dtype=bool)
     for start in range(0, len(diffs), BLOCK_WORDS):
         block = slice(start, start + BLOCK_WORDS)
-        distances = np.bitwise_count(diffs[block, None] ^ pattern_masks(perms[block]))
-        symbols[block] = distances.argmin(axis=1)
-        exact[block] = distances.min(axis=1) == 0
+        keys = nearest(diffs[block], pattern_masks(perms[block]).T)
+        symbols[block] = keys & 0xF
+        exact[block] = keys < 16
     return symbols, exact, np.bitwise_count(diffs)
 
 

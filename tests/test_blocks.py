@@ -21,10 +21,10 @@ import numpy as np
 import pytest
 
 import dsss_stego
-from dsss_stego import stego
+from dsss_stego import cli, pipeline, stego
 from dsss_stego.channel import ChannelParams, make_rng, transmit_stream
 from dsss_stego.chipmap import BLOCK_WORDS, CHIPS_PER_SYMBOL, code_matrix, despread_stream, pack_chips
-from dsss_stego.pipeline import decode_stream, encode_stream, slot_permutations
+from dsss_stego.pipeline import DecodedStream, decode_stream, encode_stream, slot_permutations
 from dsss_stego.stego import (
     StegoKey,
     build_codebook,
@@ -79,6 +79,61 @@ def test_despread_equals_one_table(n):
     got = despread_stream(words)
     assert got.dtype == np.uint8
     assert np.array_equal(got, want)
+
+
+TIE_LENGTHS = (1, 50, BLOCK_WORDS - 1, BLOCK_WORDS, BLOCK_WORDS + 1)
+
+
+def halfway(a, b):
+    # a with the lower half of the chips where a and b differ flipped: as near to b as to a
+    differ = ((a ^ b)[:, None] >> np.arange(CHIPS_PER_SYMBOL, dtype=np.uint32)) & 1
+    lower_half = np.cumsum(differ, axis=1) <= differ.sum(axis=1, keepdims=True) // 2
+    return a ^ pack_chips(differ & lower_half)
+
+
+def two_indices(rng, n):
+    first = rng.integers(0, 16, n)
+    return first, (first + rng.integers(1, 16, n)) % 16  # a second, different index
+
+
+def tied_rows(distances):
+    return np.count_nonzero((distances == distances.min(axis=1, keepdims=True)).sum(axis=1) > 1)
+
+
+@pytest.mark.parametrize("n", TIE_LENGTHS)
+@pytest.mark.parametrize("kind", ["random", "halfway"])
+def test_despread_ties_go_to_the_lowest_symbol(kind, n):
+    rng = np.random.default_rng(n)
+    codes = code_matrix()
+    if kind == "random":  # ties between codes are common
+        words = rng.integers(0, 1 << 32, n, dtype=np.uint32)
+    else:
+        a, b = two_indices(rng, n)
+        words = halfway(codes[a], codes[b])
+    distances = np.bitwise_count(words[:, None] ^ codes)
+    assert n < 50 or tied_rows(distances) > n // 4
+    assert np.array_equal(despread_stream(words), distances.argmin(axis=1))
+
+
+@pytest.mark.parametrize("n", TIE_LENGTHS)
+@pytest.mark.parametrize("kind", ["random", "halfway"])
+def test_extract_ties_go_to_the_lowest_symbol(kind, n):
+    rng = np.random.default_rng(n)
+    perms = random_perms(rng, n)
+    table = whole_pattern_table(perms)
+    s, t = two_indices(rng, n)
+    placed = table[np.arange(n), s]
+    if kind == "random":  # ties between placed patterns are common
+        diffs = rng.integers(0, 1 << 32, n, dtype=np.uint32)
+    else:
+        diffs = halfway(placed, table[np.arange(n), t])
+    diffs = np.where(rng.random(n) < 0.25, placed, diffs)  # and some exact slots
+    distances = np.bitwise_count(diffs[:, None] ^ table)
+    assert n < 50 or tied_rows(distances) > n // 4
+    symbols, exact, weight = extract_diffs(diffs, perms)
+    assert np.array_equal(symbols, distances.argmin(axis=1))
+    assert np.array_equal(exact, distances.min(axis=1) == 0)
+    assert np.array_equal(weight, np.bitwise_count(diffs))
 
 
 @pytest.mark.parametrize("n", LENGTHS)
@@ -186,12 +241,30 @@ MIB = 1 << 20
 def test_transmit_peak_is_flat():
     # one (N, 32) float64 draw would be 25 MiB at this length
     words = np.zeros(N_WORDS, dtype=np.uint32)
+    transmit_stream(words[:10], ChannelParams(0.1), make_rng(1))  # what a first call sets up, untraced
     assert _traced_peak(lambda: transmit_stream(words, ChannelParams(0.1), make_rng(1))) <= 2 * MIB
 
 
 def test_despread_peak_is_flat():
     words = np.random.default_rng(1).integers(0, 1 << 32, N_WORDS, dtype=np.uint32)
     assert _traced_peak(lambda: despread_stream(words)) <= 1 * MIB
+
+
+def test_diag_out_peak_is_flat(tmp_path, monkeypatch):
+    # the sidecar of 1e5 slots is 1.0 MiB; built whole as row strings it peaked at 16 MiB
+    rng = np.random.default_rng(2)
+    columns = 3 * np.arange(N_WORDS), rng.random(N_WORDS) < 0.5, rng.integers(0, 33, N_WORDS)
+    slots = np.rec.fromarrays(columns, dtype=pipeline._SLOT_DTYPE)
+    decoded = DecodedStream(np.zeros(8, np.uint8), np.zeros(0, np.uint8), slots)
+    monkeypatch.setattr(cli, "read_chip_stream", lambda path: np.zeros(2, np.uint32))
+    monkeypatch.setattr(cli, "decode_stream", lambda *args: decoded)
+    diag = tmp_path / "diag.csv"
+    argv = ["decode", "--in", "unread", "--key", "ACE1", "--embed-rate", "1",
+            "--data-out", str(tmp_path / "data.out"), "--diag-out", str(diag)]
+    assert cli.main(argv) == 0  # the parser is built untraced
+    assert _traced_peak(lambda: cli.main(argv)) <= 2 * MIB
+    rows = ["slot_index,exact,diff_weight"] + ["%d,%d,%d" % row for row in slots.tolist()]
+    assert diag.read_bytes() == ("\n".join(rows) + "\n").encode()  # the same bytes as one join
 
 
 def _replayed_walk_peak(monkeypatch, call, walked, want):

@@ -54,6 +54,10 @@ def test_bits_symbols_round_trip():
     bits = random_bits(rng, 4000)
     assert (symbols_to_bits(bits_to_symbols(bits)) == bits).all()
     assert bits_to_symbols(np.array([1, 0, 1, 1], dtype=np.uint8))[0] == 0b1011
+    table = [[s >> 3 - j & 1 for j in range(4)] for s in range(16)]  # first bit the MSB
+    assert symbols_to_bits(np.arange(16, dtype=np.uint8)).reshape(16, 4).tolist() == table
+    with pytest.raises(IndexError):  # not a symbol; its low 4 bits used to pass as one
+        symbols_to_bits(np.array([16], dtype=np.uint8))
     with pytest.raises(ValueError):
         bits_to_symbols(np.ones(5, dtype=np.uint8))
 
