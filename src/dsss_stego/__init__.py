@@ -37,6 +37,7 @@ from .pipeline import (
     decode_stream,
     encode_stream,
     run_simulation,
+    run_simulations,
 )
 from .stego import (
     ExtractResult,

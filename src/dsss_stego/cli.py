@@ -24,11 +24,7 @@ from .channel import ChannelParams
 from .chipmap import BLOCK_WORDS, code_set_stats
 from .fileio import ChipStreamFormatError, read_chip_stream, write_chip_stream
 from .pipeline import (
-    CapacityError,
-    SimConfig,
-    decode_stream,
-    encode_stream,
-    run_simulation,
+    CapacityError, SimConfig, decode_stream, encode_stream, run_simulation, run_simulations
 )
 from .stego import PATTERN_WEIGHT, StegoKey, build_codebook
 
@@ -165,22 +161,22 @@ def _cmd_sweep(args) -> int:
         "stego_ser,stego_exact_fraction,symbols,seed"
     ]
     points = sorted((snr, rate) for snr in args.snr_db for rate in args.embed_rate)
-    for index, (snr, rate) in enumerate(points):
-        seed = (args.seed + (index + 1) * _SEED_STRIDE) % (1 << 64)
-        report = run_simulation(
-            SimConfig(
-                num_symbols=args.symbols_per_point,
-                channel=ChannelParams.from_snr_db(snr),
-                key=args.key,
-                embed_rate=rate,
-                rng_seed=seed,
-            )
+    configs = [
+        SimConfig(
+            num_symbols=args.symbols_per_point,
+            channel=ChannelParams.from_snr_db(snr),
+            key=args.key,
+            embed_rate=rate,
+            rng_seed=(args.seed + (index + 1) * _SEED_STRIDE) % (1 << 64),
         )
+        for index, (snr, rate) in enumerate(points)
+    ]
+    for (snr, rate), report in zip(points, run_simulations(configs)):
         rows.append(
             f"{_fmt(snr)},{_fmt(rate)},{_fmt(report.p_chip)},{_fmt(report.cer)},"
             f"{_fmt(report.carrier_ser)},{_fmt(report.carrier_ber)},"
             f"{_fmt(report.stego_ser)},{_fmt(report.stego_exact_fraction)},"
-            f"{report.symbols_sent},{seed}"
+            f"{report.symbols_sent},{report.rng_seed}"
         )
     _write_text(args.out, "\n".join(rows) + "\n")
     return 0

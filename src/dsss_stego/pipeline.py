@@ -9,12 +9,13 @@ bit-identical for identical configurations (seed included).
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .channel import GENERATOR_ID, ChannelParams, make_rng, transmit_stream
-from .chipmap import BITS_PER_SYMBOL, CHIPS_PER_SYMBOL, code_matrix, despread_stream
+from .chipmap import BITS_PER_SYMBOL, BLOCK_WORDS, CHIPS_PER_SYMBOL, code_matrix, despread_stream
 from .stego import StegoKey, embed_words, embedding_schedule, extract_diffs, slot_permutations
 
 # a byte's two symbols: packbits and this lookup group 1e5 symbols about 5x faster than a matmul
@@ -44,6 +45,16 @@ def symbols_to_bits(symbols: np.ndarray) -> np.ndarray:
     return _BITS.take(symbols, axis=0).reshape(-1)
 
 
+def _filled_slots(stego_bits: np.ndarray, slots: np.ndarray) -> np.ndarray:
+    """The slots covert bits fill, 4 bits a slot in stream order; CapacityError past the last."""
+    if stego_bits.size > BITS_PER_SYMBOL * slots.size:
+        raise CapacityError(
+            f"stego payload is {stego_bits.size} bits but the schedule "
+            f"provides {BITS_PER_SYMBOL * slots.size} bits"
+        )
+    return slots[: -(-stego_bits.size // BITS_PER_SYMBOL)]
+
+
 def encode_stream(
     data_bits: np.ndarray,
     stego_bits: np.ndarray,
@@ -58,7 +69,7 @@ def encode_stream(
     trailing partial group is zero-padded, and scheduled slots beyond the
     payload are transmitted clean.  Returns (N,) uint32 chip words.  Alone
     it derives permutations up to the last payload slot; ``perms=(slots,
-    permutations)`` passes in those of the same key, rate and length.
+    permutations)`` passes in the slots to fill and theirs; embed_rate is then unread.
     """
     symbols = bits_to_symbols(data_bits)
     words = code_matrix()[symbols]
@@ -66,17 +77,11 @@ def encode_stream(
         perms = np.nonzero(embedding_schedule(key, embed_rate, symbols.size))[0], None
     slots, slot_perms = perms
     stego_bits = np.asarray(stego_bits)
-    capacity = BITS_PER_SYMBOL * slots.size
-    if stego_bits.size > capacity:
-        raise CapacityError(
-            f"stego payload is {stego_bits.size} bits but the schedule "
-            f"provides {capacity} bits"
-        )
+    rows = _filled_slots(stego_bits, slots)
     if stego_bits.size == 0:
         return words
     padding = np.zeros(-stego_bits.size % BITS_PER_SYMBOL, dtype=np.uint8)
     stego_symbols = bits_to_symbols(np.concatenate((stego_bits.reshape(-1), padding)))
-    rows = slots[: stego_symbols.size]
     if slot_perms is not None and len(slot_perms) < rows.size:
         raise ValueError(f"perms has {len(slot_perms)} rows, the payload needs {rows.size}")
     row_perms = slot_permutations(key, rows) if slot_perms is None else slot_perms[: rows.size]
@@ -205,50 +210,93 @@ class SimReport:
 
 
 def run_simulation(config: SimConfig) -> SimReport:
-    """Generate payloads, encode, push through the channel, decode, tally.
-    The schedule and the slots' permutations are derived once, for both ends."""
-    rng = make_rng(config.rng_seed)
-    n = config.num_symbols
-    slots = np.nonzero(embedding_schedule(config.key, config.embed_rate, n))[0]
-    perms = slots, slot_permutations(config.key, slots)
-    capacity = BITS_PER_SYMBOL * slots.size
-    if config.data_bits is None:
-        data_bits = rng.integers(0, 2, BITS_PER_SYMBOL * n, dtype=np.uint8)
-        stego_bits = rng.integers(0, 2, capacity, dtype=np.uint8)
-    else:
-        data_bits = np.asarray(config.data_bits).reshape(-1)
-        stego_bits = np.asarray([] if config.stego_bits is None else config.stego_bits).reshape(-1)
-        if data_bits.size != BITS_PER_SYMBOL * n:
-            raise ValueError(
-                f"fixed payload has {data_bits.size} bits, expected {BITS_PER_SYMBOL * n}"
-            )
-    words = encode_stream(data_bits, stego_bits, config.key, config.embed_rate, perms=perms)
-    received, chip_errors = transmit_stream(words, config.channel, rng)
-    decoded = decode_stream(received, config.key, config.embed_rate, perms=perms)
-    # error flags; a symbol's 4 read as one uint32 (about 100x faster than any(axis=1))
-    wrong = decoded.data_bits != data_bits
+    """Generate payloads, encode, push through the channel, decode, tally."""
+    return run_simulations([config])[0]
 
-    # covert stats count whole 4-bit groups only: a zero-padded last group is
-    # embedded but not counted
-    n_stego = stego_bits.size // BITS_PER_SYMBOL
-    covert = slice(BITS_PER_SYMBOL * n_stego)
-    stego_wrong = decoded.stego_bits[covert] != stego_bits[covert]
 
-    return SimReport(
-        num_symbols=n,
-        p_chip=config.channel.p_chip,
-        snr_db=config.channel.snr_db,
-        embed_rate=config.embed_rate,
-        key_hex=config.key.hex,
-        rng_seed=config.rng_seed,
-        payload_mode="random" if config.data_bits is None else "fixed",
-        generator=GENERATOR_ID,
-        chips_sent=CHIPS_PER_SYMBOL * n,
-        chip_errors=chip_errors,
-        symbols_sent=n,
-        symbol_errors=np.count_nonzero(wrong.view(np.uint32)),
-        carrier_bit_errors=np.count_nonzero(wrong),
-        stego_symbols_sent=n_stego,
-        stego_symbol_errors=np.count_nonzero(stego_wrong.view(np.uint32)),
-        stego_exact_count=int(decoded.slots.exact[:n_stego].sum()),
-    )
+def run_simulations(configs: Sequence[SimConfig]) -> list[SimReport]:
+    """The run_simulation report of each config, from one walk of the keyed stream.
+
+    The configs share key and num_symbols.  Schedules are nested (symbol i is a
+    slot at rate r iff its schedule word d_i < r * 65536), so the largest rate's
+    slots hold every config's.  Configs go max(1, BLOCK_WORDS // num_symbols) at
+    a time through one encode_stream and one decode_stream, each with its own generator."""
+    key, n = configs[0].key, configs[0].num_symbols
+    if any(c.key != key or c.num_symbols != n for c in configs):
+        raise ValueError("configs must share key and num_symbols")
+    rate = max(c.embed_rate for c in configs)
+    slots = np.nonzero(embedding_schedule(key, rate, n))[0]
+    top = slots, slot_permutations(key, slots)
+    step = max(1, BLOCK_WORDS // n)
+    blocks = range(0, len(configs), step)
+    return [r for k in blocks for r in _simulate(configs[k : k + step], rate, top)]
+
+
+def _joined(pieces: list[np.ndarray], step: int = 0) -> np.ndarray:
+    """The pieces end to end, piece j raised by j * step; a lone piece as it is, uncopied."""
+    if len(pieces) == 1:
+        return pieces[0]
+    return np.concatenate([piece + j * step for j, piece in enumerate(pieces)] if step else pieces)
+
+
+def _simulate(configs: Sequence[SimConfig], top_rate: float, top: SlotPerms) -> list[SimReport]:
+    """The configs' streams end to end through one encode_stream and one decode_stream.
+    Each pads its covert bits alone (encode_stream the last) and fills only its own slots."""
+    key, n = configs[0].key, configs[0].num_symbols
+    top_slots, top_perms = top
+    bits = BITS_PER_SYMBOL * n
+    rngs, slots, perms, data, covert = [], [], [], [], []
+    for config in configs:
+        if config.embed_rate == top_rate:  # the largest rate's table as it is
+            slots.append(top_slots)
+            perms.append(top_perms)
+        else:
+            slots.append(np.nonzero(embedding_schedule(key, config.embed_rate, n))[0])
+            perms.append(top_perms[np.searchsorted(top_slots, slots[-1])])
+        rngs.append(rng := make_rng(config.rng_seed))
+        if config.data_bits is None:
+            data.append(rng.integers(0, 2, bits, dtype=np.uint8))
+            covert.append(rng.integers(0, 2, BITS_PER_SYMBOL * slots[-1].size, dtype=np.uint8))
+        else:
+            data.append(np.ravel(config.data_bits))
+            covert.append(np.ravel([] if config.stego_bits is None else config.stego_bits))
+            if data[-1].size != bits:
+                raise ValueError(f"fixed payload has {data[-1].size} bits, expected {bits}")
+    filled = [_filled_slots(c, s) for c, s in zip(covert, slots)]
+    pads = [np.zeros(-c.size % BITS_PER_SYMBOL, np.uint8) for c in covert[:-1]]
+    payload = _joined([piece for pair in zip(covert, pads) for piece in pair] + covert[-1:])
+    fill = _joined(filled, n), _joined([rows[: f.size] for rows, f in zip(perms, filled)])
+    words = encode_stream(_joined(data), payload, key, top_rate, perms=fill)
+    parts = zip(range(0, len(words), n), configs, rngs)
+    sent = [transmit_stream(words[k : k + n], c.channel, rng) for k, c, rng in parts]
+    received = _joined([r for r, _ in sent])
+    decoded = decode_stream(received, key, top_rate, perms=(_joined(slots, n), _joined(perms)))
+    reports, first = [], 0
+    for j, config in enumerate(configs):
+        # error flags; a symbol's 4 read as one uint32 (about 100x faster than any(axis=1))
+        wrong = decoded.data_bits[bits * j : bits * (j + 1)] != data[j]
+        # covert stats count whole 4-bit groups only: a zero-padded last group is
+        # embedded but not counted
+        n_stego = covert[j].size // BITS_PER_SYMBOL
+        got = decoded.stego_bits[BITS_PER_SYMBOL * first :][: BITS_PER_SYMBOL * n_stego]
+        stego_wrong = got != covert[j][: BITS_PER_SYMBOL * n_stego]
+        reports.append(SimReport(
+            num_symbols=n,
+            p_chip=config.channel.p_chip,
+            snr_db=config.channel.snr_db,
+            embed_rate=config.embed_rate,
+            key_hex=key.hex,
+            rng_seed=config.rng_seed,
+            payload_mode="random" if config.data_bits is None else "fixed",
+            generator=GENERATOR_ID,
+            chips_sent=CHIPS_PER_SYMBOL * n,
+            chip_errors=sent[j][1],
+            symbols_sent=n,
+            symbol_errors=np.count_nonzero(wrong.view(np.uint32)),
+            carrier_bit_errors=np.count_nonzero(wrong),
+            stego_symbols_sent=n_stego,
+            stego_symbol_errors=np.count_nonzero(stego_wrong.view(np.uint32)),
+            stego_exact_count=int(decoded.slots.exact[first : first + n_stego].sum()),
+        ))
+        first += slots[j].size
+    return reports

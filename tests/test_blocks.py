@@ -24,7 +24,15 @@ import dsss_stego
 from dsss_stego import cli, pipeline, stego
 from dsss_stego.channel import ChannelParams, make_rng, transmit_stream
 from dsss_stego.chipmap import BLOCK_WORDS, CHIPS_PER_SYMBOL, code_matrix, despread_stream, pack_chips
-from dsss_stego.pipeline import DecodedStream, decode_stream, encode_stream, slot_permutations
+from dsss_stego.pipeline import (
+    DecodedStream,
+    SimConfig,
+    decode_stream,
+    encode_stream,
+    run_simulation,
+    run_simulations,
+    slot_permutations,
+)
 from dsss_stego.stego import (
     StegoKey,
     build_codebook,
@@ -334,6 +342,39 @@ def test_half_load_slot_permutations_peak(monkeypatch, full_walk):
     assert slots[-1] == N_WORDS - 1  # the same last row: the walk of rate 1, replayed
     call = functools.partial(slot_permutations, KEY, slots)
     assert _replayed_walk_peak(monkeypatch, call, walked, perms[slots]) <= 6 * MIB
+
+
+def _simulation(rate):
+    return SimConfig(N_WORDS, ChannelParams(0.05), KEY, rate, rng_seed=1)
+
+
+def _rate1_text():
+    return run_simulation(_simulation(1.0)).as_text()
+
+
+@pytest.fixture(scope="module")
+def rate1_peak(full_walk):
+    # 9 004 036 B when run_simulation had its own body; a second (N, 32) table
+    # would add 3.2 MB and a copy of the words 0.4 MB
+    with pytest.MonkeyPatch.context() as patch:
+        return _replayed_walk_peak(patch, _rate1_text, full_walk[1], _rate1_text())
+
+
+def test_rate1_simulation_peak_is_one_table_and_its_streams(rate1_peak):
+    assert rate1_peak <= 8.75 * MIB
+
+
+def test_two_rate_simulations_peak_adds_only_the_smaller_rate_rows(
+    monkeypatch, full_walk, rate1_peak
+):
+    # one walk for both: the rate-1 point reads the table as it is, the other its own rows
+    configs = [_simulation(0.5), _simulation(1.0)]
+    want = [run_simulation(config).as_text() for config in configs]
+    peak = _replayed_walk_peak(
+        monkeypatch, lambda: [r.as_text() for r in run_simulations(configs)], full_walk[1], want
+    )
+    rows = CHIPS_PER_SYMBOL * np.count_nonzero(embedding_schedule(KEY, 0.5, N_WORDS))
+    assert peak <= rate1_peak + rows
 
 
 def test_schedule_peak():

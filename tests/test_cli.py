@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from dsss_stego.analysis import ber_ieee
-from dsss_stego import cli
+from dsss_stego import cli, pipeline, stego
 from dsss_stego.cli import main
 
 
@@ -137,6 +137,23 @@ def test_sweep_rows_sorted_and_deterministic(tmp_path):
     assert header[:2] == ["snr_db", "embed_rate"]
     keys = [(float(r[0]), float(r[1])) for r in rows]
     assert keys == sorted(keys)
+
+
+def test_sweep_walks_the_keyed_stream_once(tmp_path, monkeypatch):
+    # 21 points of 50 symbols: one walk for every rate, one encode and one decode for all
+    calls = {}
+    for module, name in ((stego, "permutation_stream"), (pipeline, "encode_stream"),
+                         (pipeline, "decode_stream")):
+        def counted(*args, _original=getattr(module, name), _name=name, **kwargs):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+    out = tmp_path / "sweep.csv"
+    assert run_cli("sweep", "--snr-db", "0:6:1", "--embed-rate", "0,0.5,1",
+                   "--symbols-per-point", "50", "--out", str(out)) == 0
+    assert len(read_csv(out)[1]) == 21
+    assert calls == {"permutation_stream": 1, "encode_stream": 1, "decode_stream": 1}
 
 
 def test_encode_decode_round_trip_1kib(tmp_path):

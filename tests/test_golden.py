@@ -60,13 +60,17 @@ DIAG_PIN = "d98455bfadef30407ce7854d0405507212d9b681526ca0f0c6cd3e75f6ec4e69"
 # Text outputs of ``stats``, ``analytic`` and ``sweep``, taken while the code
 # table was still a settable ``CodeSet`` and the model carried n, t and d_mean.
 # ``analytic-diff`` was taken later, while the model still spelled out its own
-# dB conversion and its 8/15 bit-error factor.
+# dB conversion and its 8/15 bit-error factor.  The three ``sweep-*-call`` pins
+# were taken while every sweep point ran its own simulation and walk.
 CLI_PINS = {
     "stats": "c57286693e79de9de1507fcbcad4bf42a84e37ee8231f128312e233f0fd87b11",
     "analytic-ratio": "5e5f58a5a9e9f6a568aca5ca46e03c4be0ece7a9ca33da70b50ad69e6878f600",
     "analytic-diff": "a29055f3887d37990262905fccd9850d63e4b507e51d2b7d64700e7540f9cd3f",
     "analytic-chips3": "91d26c2c1a14a2fc4cd33de3b13753bb98858d6954702feb583305228f56bdfa",
     "sweep-neg-seed": "c255bf24ca1b4fb348c1d6a95c40ea7069acfc1649cbdf275090361554e91025",
+    "sweep-one-point-a-call": "c76cbb95939336c6b5e5c4d76485881ec94a453bb16e5de47acbf6226b179313",
+    "sweep-two-points-a-call": "3d5c96f080c2318fcd72e51b53534da42bc43ca9e49b5234f736aede608f4db6",
+    "sweep-all-points-one-call": "2d8472be041691f37d7a93da80bc4e2dbf31391fef692afc52fa604ab558df35",
 }
 
 
@@ -182,6 +186,14 @@ CLI_ARGS = {
     # a negative base seed still gives per-point seeds in [0, 2^64)
     "sweep-neg-seed": ["sweep", "--snr-db", "0,4", "--embed-rate", "0,0.5,1",
                        "--symbols-per-point", "200", "--seed", "-3"],
+    # run_simulations puts BLOCK_WORDS // symbols-per-point points through one encode and
+    # one decode: 1, 2 and all 66 here; the rates come unsorted, one of them twice
+    "sweep-one-point-a-call": ["sweep", "--snr-db=-2,0,3", "--embed-rate", "0.7,0,0.7,1",
+                               "--symbols-per-point", "4097", "--seed", "4"],
+    "sweep-two-points-a-call": ["sweep", "--snr-db=-2,0,3", "--embed-rate", "0.7,0,0.7,1",
+                                "--symbols-per-point", "2048", "--seed", "4"],
+    "sweep-all-points-one-call": ["sweep", "--snr-db=-6:10:0.5", "--embed-rate", "0.1,0.25",
+                                  "--symbols-per-point", "1", "--seed", "77"],
 }
 
 

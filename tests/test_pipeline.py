@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from dsss_stego.pipeline import (
     embedding_schedule,
     encode_stream,
     run_simulation,
+    run_simulations,
     symbols_to_bits,
 )
 from dsss_stego.stego import StegoKey
@@ -321,3 +323,59 @@ def test_data_bits_make_a_fixed_payload_run():
     assert report.stego_symbols_sent == 10 and report.stego_exact_count == 10
     assert run_simulation(_config(embed_rate=1.0, data_bits=data)).stego_symbols_sent == 0
     assert run_simulation(_config(embed_rate=1.0)).payload_mode == "random"
+
+
+# -- many simulations from one walk ----------------------------------------------
+
+RATES = (0.5, 0.0, 1.0, 0.3, 0.3)  # unsorted, one repeated
+CHANNELS = (ChannelParams(0.05), ChannelParams(0.0), ChannelParams.from_snr_db(-2.0))
+
+
+def _one_by_one(configs):
+    return [run_simulation(config).as_text() for config in configs]
+
+
+@pytest.mark.parametrize("n", [1, 50, 2048, 4095, 4096, 4097])  # 4096, 81, 2 or 1 configs a call
+def test_simulations_equal_one_run_each(n):
+    configs = [
+        _config(num_symbols=n, channel=CHANNELS[k % 3], embed_rate=RATES[k % 5], rng_seed=100 + k)
+        for k in range(15)
+    ]
+    assert [report.as_text() for report in run_simulations(configs)] == _one_by_one(configs)
+
+
+def test_simulations_mix_random_and_fixed_payloads():
+    # 1002 covert bits is short of the schedule and not a multiple of 4: each fixed
+    # payload fills only its own first slots, the first padded alone, the last by encode_stream
+    rng = np.random.default_rng(11)
+    data = [random_bits(rng, 4000) for _ in range(3)]
+    covert = [random_bits(rng, 1002) for _ in range(2)]
+    noisy = ChannelParams(0.05)
+    configs = [
+        _config(embed_rate=0.5, channel=noisy, data_bits=data[0], stego_bits=covert[0]),
+        _config(embed_rate=0.3, channel=ChannelParams.from_snr_db(-2.0), rng_seed=7),
+        _config(embed_rate=1.0, data_bits=data[1]),
+        _config(embed_rate=1.0, channel=noisy, data_bits=data[2], stego_bits=covert[1]),
+    ]
+    reports = run_simulations(configs)
+    assert [report.as_text() for report in reports] == _one_by_one(configs)
+    random_slots = np.count_nonzero(embedding_schedule(KEY, 0.3, 1000))
+    assert [report.stego_symbols_sent for report in reports] == [250, random_slots, 0, 250]
+
+
+def test_simulations_share_key_and_length():
+    with pytest.raises(ValueError, match="share key and num_symbols"):
+        run_simulations([_config(), _config(key=StegoKey.from_hex("1111"))])
+    with pytest.raises(ValueError, match="share key and num_symbols"):
+        run_simulations([_config(), _config(num_symbols=999)])
+
+
+def test_simulations_name_the_config_over_capacity():
+    slots = np.count_nonzero(embedding_schedule(KEY, 0.5, 1000))
+    data, covert = np.zeros(4000, np.uint8), np.ones(4 * slots + 1, np.uint8)
+    over = _config(embed_rate=0.5, data_bits=data, stego_bits=covert)
+    message = f"stego payload is {4 * slots + 1} bits but the schedule provides {4 * slots} bits"
+    with pytest.raises(CapacityError, match=re.escape(message)):
+        run_simulation(over)
+    with pytest.raises(CapacityError, match=re.escape(message)):
+        run_simulations([_config(embed_rate=1.0), over])
