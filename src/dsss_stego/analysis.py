@@ -8,6 +8,7 @@ covert-load BER increase onto an equivalent receiver-sensitivity loss.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -35,6 +36,7 @@ _BER_SCALE = (BIT_ERRORS_PER_SYMBOL_ERROR / BITS_PER_SYMBOL) * (1.0 / SYMBOL_VAL
 
 SENSITIVITY_BRACKET_DB = 30.0
 _BISECTION_REL_TOL = 1e-9
+_LN10_PER_DB = math.log(10.0) / 10.0  # d ln(snr_linear) / d snr_db
 
 PM_MODES = ("diff", "ratio")
 
@@ -77,9 +79,15 @@ def delta_avg_distance(t: int, d_mean: float) -> float:
     return t * d_mean / CHIPS_PER_SYMBOL
 
 
-def coded_bit_error_prob(
-    p_b: float, n: int = CHIPS_PER_SYMBOL, t: int = PATTERN_WEIGHT
-) -> float:
+@functools.cache
+def _log_binomials(n: int) -> tuple[float, ...]:
+    """ln C(n, i) for i = 0..n, as lgamma(n+1) - lgamma(i+1) - lgamma(n-i+1)."""
+    return tuple(
+        math.lgamma(n + 1) - math.lgamma(i + 1) - math.lgamma(n - i + 1) for i in range(n + 1)
+    )
+
+
+def coded_bit_error_prob(p_b: float, n: int = CHIPS_PER_SYMBOL, t: int = PATTERN_WEIGHT) -> float:
     """Bounded-distance post-decoding bit error probability.
 
     For a length-n code correcting up to t errors with raw bit error
@@ -96,11 +104,8 @@ def coded_bit_error_prob(
         return 1.0
     log_p = math.log(p_b)
     log_q = math.log1p(-p_b)
-    terms = [
-        i * math.exp(math.lgamma(n + 1) - math.lgamma(i + 1) - math.lgamma(n - i + 1)
-                     + i * log_p + (n - i) * log_q)
-        for i in range(t + 1, n + 1)
-    ]
+    log_c = _log_binomials(n)
+    terms = [i * math.exp(log_c[i] + i * log_p + (n - i) * log_q) for i in range(t + 1, n + 1)]
     return math.fsum(terms) / n
 
 
@@ -181,21 +186,26 @@ def uncoded_bit_error_prob(snr_linear: float) -> float:
     return 0.5 * math.erfc(math.sqrt(UNCODED_BIT_SNR_FACTOR * snr_linear))
 
 
+def _row_bers(snr_db: float, row: list[PerformanceModelParams]) -> tuple[float, list[float]]:
+    """The clean BER and each params' ber_with_stego at snr_db; the params differ in
+    embed_rate only, so the SNR terms and the misdecode shift are computed once."""
+    snr_linear = snr_db_to_linear(snr_db)
+    clean = ber_ieee(snr_linear)
+    rates = [p.embed_rate for p in row]
+    p_b = uncoded_bit_error_prob(snr_linear) if any(rates) and row[0].embed_chips else 0.0
+    if p_b == 0.0:  # no covert load, or erfc underflow far above the operating range
+        return clean, [clean] * len(row)
+    increment = delta_ber(misdecode_shift(p_b, row[0]))
+    return clean, [clean if rate == 0.0 else min(0.5, clean + rate * increment) for rate in rates]
+
+
 def ber_with_stego(snr_db: float, params: PerformanceModelParams) -> float:
     """BER seen by a plain receiver when covert load is present.
 
     Clean-curve BER plus embed_rate times the misdecode-driven BER
     increment, clipped to [0, 0.5].
     """
-    snr_linear = snr_db_to_linear(snr_db)
-    clean = ber_ieee(snr_linear)
-    if params.embed_rate == 0.0 or params.embed_chips == 0:
-        return clean
-    p_b = uncoded_bit_error_prob(snr_linear)
-    if p_b == 0.0:  # erfc underflow far above the operating range
-        return clean
-    shift = misdecode_shift(p_b, params)
-    return min(0.5, clean + params.embed_rate * delta_ber(shift))
+    return _row_bers(snr_db, [params])[1][0]
 
 
 @dataclass(frozen=True)
@@ -211,39 +221,70 @@ class SensitivityPoint:
     saturated: bool = False
 
 
-def sensitivity_point(snr_db: float, params: PerformanceModelParams) -> SensitivityPoint:
-    """Project the covert-load BER increase onto an equivalent SNR penalty.
+def _checked_bracket(x: float, target: float) -> tuple[float, float]:
+    """[a, b], 2e-8 dB around a Newton estimate (steps on ln f in dB from x, the slope
+    from f's own 15 exponentials) of where the clean curve f falls to target, once
+    exact f(a) and f(b) lie 2 tol above and below it.  f is strictly decreasing and
+    computed to about 1e-11, so at a bisection mid outside [a, b] an evaluation of f
+    would give the same move and no stop.  (-inf, inf) if Newton or the check fails."""
+    whole = -math.inf, math.inf
+    for _ in range(30):
+        s = SYMBOL_SNR_FACTOR * snr_db_to_linear(x)
+        weights = [c * math.exp(s * e) for c, e in _BER_TERMS]
+        total = math.fsum(weights)
+        slope = math.fsum([w * e for w, (_, e) in zip(weights, _BER_TERMS)]) * s * _LN10_PER_DB
+        valid = _BER_SCALE * total > 0.0 and slope < 0.0
+        step = math.log(_BER_SCALE * total / target) * total / slope if valid else -math.inf
+        if step < -1e-10:  # f underflowed, the slope is not negative, or the step turned up
+            return whole
+        x -= step
+        if step <= 1e-10:
+            break
+    a, b = x - 1e-8, x + 1e-8
+    f_a, f_b = ber_ieee(snr_db_to_linear(a)), ber_ieee(snr_db_to_linear(b))
+    margin = 2 * _BISECTION_REL_TOL * target
+    return (a, b) if f_a > target + margin and f_b < target - margin else whole
 
-    Finds, by bisection on the clean curve, the lower SNR at which a pure
-    link already shows the covert-load BER; the gap is the apparent
-    sensitivity loss.  A target at or above 0.5 is not invertible and is
-    reported saturated with the shift capped at the bracket width.
-    """
-    snr_linear = snr_db_to_linear(snr_db)
-    clean = ber_ieee(snr_linear)
-    target = ber_with_stego(snr_db, params)
+
+def _bisect_shift(snr_db: float, clean: float, target: float) -> tuple[float, bool]:
+    """(shift in dB, saturated): how far below snr_db the clean curve f shows the
+    target, by bisection on [snr_db - 30, snr_db]; a target f does not reach there
+    saturates at the bracket width.  Only mids inside _checked_bracket evaluate f."""
     if target <= clean:
-        return SensitivityPoint(snr_db, params.embed_rate, clean, target, 0.0, params.pm_mode)
+        return 0.0, False
     if target >= 0.5:
-        return SensitivityPoint(
-            snr_db, params.embed_rate, clean, target,
-            SENSITIVITY_BRACKET_DB, params.pm_mode, saturated=True,
-        )
-    lo = snr_db - SENSITIVITY_BRACKET_DB  # clean BER high side
-    hi = snr_db
+        return SENSITIVITY_BRACKET_DB, True
+    lo, hi = snr_db - SENSITIVITY_BRACKET_DB, snr_db
+    a, b = _checked_bracket(hi, target)
+    # below the bracket; a checked a above lo already shows f(lo) > target
+    if a <= lo and ber_ieee(snr_db_to_linear(lo)) <= target:
+        return SENSITIVITY_BRACKET_DB, True
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        value = ber_ieee(snr_db_to_linear(mid))
+        # a mid outside [a, b] reads as above (inf) or below (0) the target
+        value = math.inf if mid <= a else 0.0 if mid >= b else ber_ieee(snr_db_to_linear(mid))
         if value > target:
             lo = mid
         else:
             hi = mid
         if value > 0.0 and abs(value - target) <= _BISECTION_REL_TOL * target:
             break
-    shifted = 0.5 * (lo + hi)
-    return SensitivityPoint(
-        snr_db, params.embed_rate, clean, target, snr_db - shifted, params.pm_mode
-    )
+    return snr_db - 0.5 * (lo + hi), False
+
+
+def _sensitivity_row(snr_db: float, row: list[PerformanceModelParams]) -> list[SensitivityPoint]:
+    """The sensitivity point of each params at snr_db; they differ in embed_rate only."""
+    clean, targets = _row_bers(snr_db, row)
+    return [
+        SensitivityPoint(snr_db, p.embed_rate, clean, target, shift, p.pm_mode, saturated)
+        for p, target in zip(row, targets)
+        for shift, saturated in [_bisect_shift(snr_db, clean, target)]
+    ]
+
+
+def sensitivity_point(snr_db: float, params: PerformanceModelParams) -> SensitivityPoint:
+    """Project the covert-load BER increase onto an equivalent SNR penalty (see _bisect_shift)."""
+    return _sensitivity_row(snr_db, [params])[0]
 
 
 def sensitivity_shift(snr_db: float, params: PerformanceModelParams) -> float:
@@ -255,10 +296,7 @@ def sensitivity_curve(
     snr_db_list: list[float], embed_rate_list: list[float], params: PerformanceModelParams
 ) -> list[SensitivityPoint]:
     """Sensitivity points over a grid, sorted by (snr_db, embed_rate)."""
-    points = [
-        sensitivity_point(snr, replace(params, embed_rate=rate))
-        for snr in snr_db_list
-        for rate in embed_rate_list
-    ]
+    row = [replace(params, embed_rate=rate) for rate in embed_rate_list]
+    points = [point for snr in snr_db_list for point in _sensitivity_row(snr, row)]
     points.sort(key=lambda p: (p.snr_db, p.embed_rate))
     return points

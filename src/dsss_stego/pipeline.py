@@ -227,9 +227,12 @@ def run_simulations(configs: Sequence[SimConfig]) -> list[SimReport]:
     rate = max(c.embed_rate for c in configs)
     slots = np.nonzero(embedding_schedule(key, rate, n))[0]
     top = slots, slot_permutations(key, slots)
+    # one schedule per smaller rate, kept as its rows of the table; the largest reads it whole
+    rows = {r: np.searchsorted(slots, np.nonzero(embedding_schedule(key, r, n))[0])
+            for r in {c.embed_rate for c in configs} - {rate}}
     step = max(1, BLOCK_WORDS // n)
     blocks = range(0, len(configs), step)
-    return [r for k in blocks for r in _simulate(configs[k : k + step], rate, top)]
+    return [r for k in blocks for r in _simulate(configs[k : k + step], rate, top, rows)]
 
 
 def _joined(pieces: list[np.ndarray], step: int = 0) -> np.ndarray:
@@ -239,7 +242,9 @@ def _joined(pieces: list[np.ndarray], step: int = 0) -> np.ndarray:
     return np.concatenate([piece + j * step for j, piece in enumerate(pieces)] if step else pieces)
 
 
-def _simulate(configs: Sequence[SimConfig], top_rate: float, top: SlotPerms) -> list[SimReport]:
+def _simulate(
+    configs: Sequence[SimConfig], top_rate: float, top: SlotPerms, rows: dict[float, np.ndarray]
+) -> list[SimReport]:
     """The configs' streams end to end through one encode_stream and one decode_stream.
     Each pads its covert bits alone (encode_stream the last) and fills only its own slots."""
     key, n = configs[0].key, configs[0].num_symbols
@@ -247,12 +252,9 @@ def _simulate(configs: Sequence[SimConfig], top_rate: float, top: SlotPerms) -> 
     bits = BITS_PER_SYMBOL * n
     rngs, slots, perms, data, covert = [], [], [], [], []
     for config in configs:
-        if config.embed_rate == top_rate:  # the largest rate's table as it is
-            slots.append(top_slots)
-            perms.append(top_perms)
-        else:
-            slots.append(np.nonzero(embedding_schedule(key, config.embed_rate, n))[0])
-            perms.append(top_perms[np.searchsorted(top_slots, slots[-1])])
+        index = rows.get(config.embed_rate, slice(None))  # a whole slice: views, not copies
+        slots.append(top_slots[index])
+        perms.append(top_perms[index])
         rngs.append(rng := make_rng(config.rng_seed))
         if config.data_bits is None:
             data.append(rng.integers(0, 2, bits, dtype=np.uint8))

@@ -1,10 +1,16 @@
+import functools
 import math
+from dataclasses import replace
 
 import mpmath as mp
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from dsss_stego import analysis
 from dsss_stego.analysis import (
     PerformanceModelParams,
+    SensitivityPoint,
     ber_ieee,
     ber_with_stego,
     coded_bit_error_prob,
@@ -259,3 +265,114 @@ def test_sensitivity_saturation_flag():
     point = sensitivity_point(4.0, params)
     assert point.saturated
     assert point.sensitivity_shift_db == 30.0
+
+
+def test_sensitivity_crossing_below_the_bracket_saturates():
+    # the target lies under the clean curve 30 dB down: the whole bracket is above it
+    params = PerformanceModelParams(embed_rate=0.25, pm_mode="ratio", embed_chips=1)
+    point = sensitivity_point(-6.95, params)
+    assert ber_ieee(10 ** ((-6.95 - 30.0) / 10)) <= point.ber_steg < 0.5
+    assert point.saturated
+    assert point.sensitivity_shift_db == 30.0
+
+
+# -- the plain bisection as the oracle of the one that skips far-away steps ----
+
+def plain_ber_with_stego(snr_db, params):
+    snr_linear = 10.0 ** (snr_db / 10.0)
+    clean = ber_ieee(snr_linear)
+    if params.embed_rate == 0.0 or params.embed_chips == 0:
+        return clean
+    p_b = uncoded_bit_error_prob(snr_linear)
+    if p_b == 0.0:
+        return clean
+    return min(0.5, clean + params.embed_rate * delta_ber(misdecode_shift(p_b, params)))
+
+
+def plain_sensitivity_point(snr_db, params):
+    clean = ber_ieee(10.0 ** (snr_db / 10.0))
+    target = plain_ber_with_stego(snr_db, params)
+    point = functools.partial(SensitivityPoint, snr_db, params.embed_rate, clean, target)
+    if target <= clean:
+        return point(0.0, params.pm_mode)
+    if target >= 0.5:
+        return point(30.0, params.pm_mode, saturated=True)
+    lo = snr_db - 30.0
+    hi = snr_db
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        value = ber_ieee(10.0 ** (mid / 10.0))
+        if value > target:
+            lo = mid
+        else:
+            hi = mid
+        if value > 0.0 and abs(value - target) <= 1e-9 * target:
+            break
+    shifted = 0.5 * (lo + hi)
+    return point(snr_db - shifted, params.pm_mode)
+
+
+def test_sensitivity_curve_matches_plain_bisection():
+    # near -40 dB the curve is too flat for a checked bracket; above about 20 dB
+    # it underflows to 0 under a nonzero target; -8..-6 dB holds below-bracket rows
+    snrs = [-40.0 + k for k in range(93)] + [-8.0 + 0.05 * k for k in range(41)]
+    rates = [0.0, 0.01, 0.1, 0.25, 0.5, 0.75, 1.0]
+    seen = {"below": 0, "saturated": 0, "underflow": 0, "shifted": 0}
+    for pm_mode in ("diff", "ratio"):
+        for chips in range(6):
+            params = PerformanceModelParams(embed_chips=chips, pm_mode=pm_mode)
+            got = sensitivity_curve(snrs, rates, params)
+            want = sorted(
+                (plain_sensitivity_point(s, PerformanceModelParams(chips, r, pm_mode))
+                 for s in snrs for r in rates),
+                key=lambda p: (p.snr_db, p.embed_rate),
+            )
+            for g, w in zip(got, want, strict=True):
+                floor = ber_ieee(10.0 ** ((w.snr_db - 30.0) / 10.0))  # the bracket's low end
+                if w.ber_clean < w.ber_steg < 0.5 and floor <= w.ber_steg:
+                    seen["below"] += 1
+                    assert g == replace(w, sensitivity_shift_db=30.0, saturated=True)
+                    continue
+                assert g == w
+                seen["saturated"] += w.saturated
+                seen["underflow"] += w.ber_clean == 0.0 < w.ber_steg
+                seen["shifted"] += 0.0 < w.sensitivity_shift_db < 30.0
+    assert all(seen.values()), seen
+
+
+def test_sweep_grid_curve_evaluates_near_the_crossing_only(monkeypatch):
+    # the 0:6:1 x (0, 0.5, 1) grid; the plain bisection made 532 curve calls and
+    # 4 misdecode calls a row
+    calls = {"ber_ieee": 0, "coded_bit_error_prob": 0}
+    for name in calls:
+        def counted(*args, _original=getattr(analysis, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(analysis, name, counted)
+    points = sensitivity_curve([float(s) for s in range(7)], [0.0, 0.5, 1.0],
+                               PerformanceModelParams())
+    assert len(points) == 21 and sum(p.sensitivity_shift_db > 0.0 for p in points) == 14
+    assert calls["ber_ieee"] <= 150
+    assert calls["coded_bit_error_prob"] == 2 * 7
+
+
+def direct_coded_bit_error_prob(p_b, n, t):
+    if p_b == 0.0:
+        return 0.0
+    if p_b == 1.0:
+        return 1.0
+    log_p = math.log(p_b)
+    log_q = math.log1p(-p_b)
+    terms = [
+        i * math.exp(math.lgamma(n + 1) - math.lgamma(i + 1) - math.lgamma(n - i + 1)
+                     + i * log_p + (n - i) * log_q)
+        for i in range(t + 1, n + 1)
+    ]
+    return math.fsum(terms) / n
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(min_value=0.0, max_value=1.0), st.integers(min_value=0, max_value=5))
+def test_coded_bit_error_prob_matches_direct_formula(p_b, t):
+    assert coded_bit_error_prob(p_b, 32, t) == direct_coded_bit_error_prob(p_b, 32, t)

@@ -156,6 +156,23 @@ def test_sweep_walks_the_keyed_stream_once(tmp_path, monkeypatch):
     assert calls == {"permutation_stream": 1, "encode_stream": 1, "decode_stream": 1}
 
 
+def test_sweep_makes_one_schedule_per_distinct_rate(tmp_path, monkeypatch):
+    # 21 points at 3 rates; a schedule per point below the largest rate made 15
+    rates = []
+    original = pipeline.embedding_schedule
+
+    def counted(key, embed_rate, num_symbols):
+        rates.append(embed_rate)
+        return original(key, embed_rate, num_symbols)
+
+    monkeypatch.setattr(pipeline, "embedding_schedule", counted)
+    out = tmp_path / "sweep.csv"
+    assert run_cli("sweep", "--snr-db", "0:6:1", "--embed-rate", "0,0.5,1",
+                   "--symbols-per-point", "50", "--out", str(out)) == 0
+    assert len(read_csv(out)[1]) == 21
+    assert sorted(rates) == [0.0, 0.5, 1.0]
+
+
 def test_encode_decode_round_trip_1kib(tmp_path):
     rng = np.random.default_rng(0)
     data = tmp_path / "data.bin"

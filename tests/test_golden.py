@@ -71,6 +71,8 @@ CLI_PINS = {
     "sweep-one-point-a-call": "c76cbb95939336c6b5e5c4d76485881ec94a453bb16e5de47acbf6226b179313",
     "sweep-two-points-a-call": "3d5c96f080c2318fcd72e51b53534da42bc43ca9e49b5234f736aede608f4db6",
     "sweep-all-points-one-call": "2d8472be041691f37d7a93da80bc4e2dbf31391fef692afc52fa604ab558df35",
+    "analytic-default-grid": "de3f17a9e3d2aa0fa28308a9f86d8085b40abfd07957cd0472718ea207e2dbca",
+    "analytic-below-bracket": "1ef3490cec13e04b952afa9cd51215f248e114f4573ed060bb1b955c7cfc54ea",
 }
 
 
@@ -194,6 +196,11 @@ CLI_ARGS = {
                                 "--symbols-per-point", "2048", "--seed", "4"],
     "sweep-all-points-one-call": ["sweep", "--snr-db=-6:10:0.5", "--embed-rate", "0.1,0.25",
                                   "--symbols-per-point", "1", "--seed", "77"],
+    # -10:10:0.5 x 5 rates, 205 rows, 164 of them bisected
+    "analytic-default-grid": ["analytic"],
+    # the row at -6.95 dB crosses below the 30 dB bracket; it prints a 30 dB shift either way
+    "analytic-below-bracket": ["analytic", "--pm-mode", "ratio", "--embed-chips", "1",
+                               "--snr-db=-8:-6:0.05", "--embed-rate", "0.25"],
 }
 
 
