@@ -221,13 +221,16 @@ class SensitivityPoint:
     saturated: bool = False
 
 
-def _checked_bracket(x: float, target: float) -> tuple[float, float]:
-    """[a, b], 2e-8 dB around a Newton estimate (steps on ln f in dB from x, the slope
-    from f's own 15 exponentials) of where the clean curve f falls to target, once
-    exact f(a) and f(b) lie 2 tol above and below it.  f is strictly decreasing and
-    computed to about 1e-11, so at a bisection mid outside [a, b] an evaluation of f
-    would give the same move and no stop.  (-inf, inf) if Newton or the check fails."""
+def _checked_bracket(snr_db: float, target: float) -> tuple[float, float]:
+    """[a, b], 4 tol f/|f'| either side of a Newton estimate (steps on ln f in dB) of
+    where the clean curve f falls to target, once exact f(a) and f(b) lie 2 tol above
+    and below it; (-inf, inf) if Newton or the check fails.  f is strictly decreasing
+    and computed to about 1e-11, so at a bisection mid outside [a, b] f would give the
+    same move and no stop.  Newton starts at snr_db, or lower where the k = 2 term meets
+    target: f, an inclusion-exclusion sum, lies under it, and ln f is concave in dB."""
     whole = -math.inf, math.inf
+    c, e = _BER_TERMS[0]  # the k = 2 term, _BER_SCALE * 120 = 4 > target at snr 0
+    x = min(snr_db, 10.0 * math.log10(math.log(_BER_SCALE * c / target) / (SYMBOL_SNR_FACTOR * -e)))
     for _ in range(30):
         s = SYMBOL_SNR_FACTOR * snr_db_to_linear(x)
         weights = [c * math.exp(s * e) for c, e in _BER_TERMS]
@@ -240,7 +243,8 @@ def _checked_bracket(x: float, target: float) -> tuple[float, float]:
         x -= step
         if step <= 1e-10:
             break
-    a, b = x - 1e-8, x + 1e-8
+    half = 4 * _BISECTION_REL_TOL * total / -slope
+    a, b = x - half, x + half
     f_a, f_b = ber_ieee(snr_db_to_linear(a)), ber_ieee(snr_db_to_linear(b))
     margin = 2 * _BISECTION_REL_TOL * target
     return (a, b) if f_a > target + margin and f_b < target - margin else whole

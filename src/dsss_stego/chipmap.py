@@ -133,9 +133,10 @@ def code_matrix() -> np.ndarray:
 
 
 def pack_chips(rows: np.ndarray) -> np.ndarray:
-    """0/1 chips along the last axis (32 per word) -> uint32 words, chip i at bit i."""
-    packed = np.packbits(np.asarray(rows, dtype=bool), axis=-1, bitorder="little")
-    return packed.view("<u4")[..., 0].astype(np.uint32, copy=False)
+    """0/1 chips along the last axis (32 per word) -> uint32 words, chip i at bit i;
+    a word's chips are 4 contiguous bytes of one flat pack, so no row packs alone."""
+    packed = np.packbits(rows := np.asarray(rows, dtype=bool), axis=None, bitorder="little")
+    return packed.view("<u4").reshape(rows.shape[:-1]).astype(np.uint32, copy=False)
 
 
 def nearest(words: np.ndarray, candidates: np.ndarray) -> np.ndarray:

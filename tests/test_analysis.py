@@ -357,6 +357,42 @@ def test_sweep_grid_curve_evaluates_near_the_crossing_only(monkeypatch):
     assert calls["coded_bit_error_prob"] == 2 * 7
 
 
+def _count_bracket_calls(monkeypatch):
+    calls = {"ber_ieee": 0, "whole_bracket": 0}
+
+    def ber(snr_linear, _original=analysis.ber_ieee):
+        calls["ber_ieee"] += 1
+        return _original(snr_linear)
+
+    def bracket(snr_db, target, _original=analysis._checked_bracket):
+        a, b = _original(snr_db, target)
+        calls["whole_bracket"] += (a, b) == (-math.inf, math.inf)
+        return a, b
+
+    monkeypatch.setattr(analysis, "ber_ieee", ber)
+    monkeypatch.setattr(analysis, "_checked_bracket", bracket)
+    return calls
+
+
+def test_cli_default_grid_checks_every_bracket(monkeypatch):
+    # -10:10:0.5 x 5 rates, 164 bisections: a fixed 1e-8 dB bracket failed its check
+    # at 18 of them (SNR <= -8 dB), each then bisecting the whole 30 dB, 1603 calls in all
+    calls = _count_bracket_calls(monkeypatch)
+    points = sensitivity_curve([-10.0 + 0.5 * k for k in range(41)],
+                               [0.0, 0.25, 0.5, 0.75, 1.0], PerformanceModelParams())
+    assert sum(0.0 < p.sensitivity_shift_db for p in points) == 164
+    assert calls["whole_bracket"] == 0
+    assert calls["ber_ieee"] <= 800
+
+
+def test_sweep_grid_newton_starts_at_the_dominant_term(monkeypatch):
+    # Newton from the row's SNR and a fixed 1e-8 dB bracket made 109 curve calls here
+    calls = _count_bracket_calls(monkeypatch)
+    sensitivity_curve([float(s) for s in range(7)], [0.0, 0.5, 1.0], PerformanceModelParams())
+    assert calls["whole_bracket"] == 0
+    assert calls["ber_ieee"] <= 80
+
+
 def direct_coded_bit_error_prob(p_b, n, t):
     if p_b == 0.0:
         return 0.0

@@ -3,6 +3,7 @@ import pytest
 
 from dsss_stego.analysis import ber_ieee
 from dsss_stego import cli, pipeline, stego
+from dsss_stego.channel import ChannelParams
 from dsss_stego.cli import main
 
 
@@ -154,6 +155,32 @@ def test_sweep_walks_the_keyed_stream_once(tmp_path, monkeypatch):
                    "--symbols-per-point", "50", "--out", str(out)) == 0
     assert len(read_csv(out)[1]) == 21
     assert calls == {"permutation_stream": 1, "encode_stream": 1, "decode_stream": 1}
+
+
+def test_sweep_sends_each_point_through_its_own_channel_call(tmp_path, monkeypatch):
+    # one transmit_stream call a point, with that point's channel: the channel's
+    # flip count is read per call, and each point's report counts its own flips
+    sent, reports = [], []
+
+    def transmit(words, params, rng, _original=pipeline.transmit_stream):
+        received, flips = _original(words, params, rng)
+        sent.append((len(words), params, flips))
+        return received, flips
+
+    def simulations(configs, _original=cli.run_simulations):
+        reports.extend(_original(configs))
+        return reports
+
+    monkeypatch.setattr(pipeline, "transmit_stream", transmit)
+    monkeypatch.setattr(cli, "run_simulations", simulations)
+    out = tmp_path / "sweep.csv"
+    assert run_cli("sweep", "--snr-db", "0:6:1", "--embed-rate", "0,0.5,1",
+                   "--symbols-per-point", "50", "--out", str(out)) == 0
+    assert len(read_csv(out)[1]) == 21
+    channels = [ChannelParams.from_snr_db(float(snr)) for snr in range(7) for _ in range(3)]
+    assert [(words, params) for words, params, _ in sent] == [(50, c) for c in channels]
+    assert [flips for _, _, flips in sent] == [r.chip_errors for r in reports]
+    assert sum(flips for _, _, flips in sent) == sum(r.chip_errors for r in reports) > 0
 
 
 def test_sweep_makes_one_schedule_per_distinct_rate(tmp_path, monkeypatch):

@@ -3,9 +3,11 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dsss_stego import pipeline, stego
-from dsss_stego.channel import ChannelParams
+from dsss_stego.channel import ChannelParams, make_rng
 from dsss_stego.chipmap import CHIP_TABLE, ChipSequence, code_matrix, decode_chips
 from dsss_stego.pipeline import (
     CapacityError,
@@ -361,6 +363,23 @@ def test_simulations_mix_random_and_fixed_payloads():
     assert [report.as_text() for report in reports] == _one_by_one(configs)
     random_slots = np.count_nonzero(embedding_schedule(KEY, 0.3, 1000))
     assert [report.stego_symbols_sent for report in reports] == [250, random_slots, 0, 250]
+
+
+def test_simulations_need_at_least_one_config():
+    with pytest.raises(ValueError, match="at least one config"):
+        run_simulations([])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**64 - 1), st.integers(0, 600), st.integers(0, 600))
+def test_one_payload_draw_equals_the_data_and_covert_draws(seed, data_symbols, slots):
+    # a random payload draws its data and covert bits at once, 4 bits a symbol or slot
+    a, b = 4 * data_symbols, 4 * slots
+    one, two = make_rng(seed), make_rng(seed)
+    draw = one.integers(0, 2, a + b, dtype=np.uint8)
+    assert np.array_equal(draw[:a], two.integers(0, 2, a, dtype=np.uint8))
+    assert np.array_equal(draw[a:], two.integers(0, 2, b, dtype=np.uint8))
+    assert np.array_equal(one.random(8), two.random(8))  # the generator is left as it was
 
 
 def test_simulations_share_key_and_length():
