@@ -139,13 +139,13 @@ def pack_chips(rows: np.ndarray) -> np.ndarray:
     return packed.view("<u4").reshape(rows.shape[:-1]).astype(np.uint32, copy=False)
 
 
-def nearest(words: np.ndarray, candidates: np.ndarray) -> np.ndarray:
-    """``distance << 4 | index`` of each word's nearest of 16 candidates, (16, 1) or (16, n).
+def nearest(words: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """``distance << 4 | index`` of each word's nearest of the 16 words of a (16,) table.
 
-    One minimum over the 16 rows of keys decides every word: ``key & 0xF`` is
-    the nearest index with ties to the lowest, and ``key < 16`` marks distance 0.
+    One minimum over the (16, n) keys decides every word: ``key & 0xF`` is the
+    nearest index with ties to the lowest, and ``key < 16`` marks distance 0.
     """
-    keys = np.bitwise_count(words ^ candidates).astype(np.uint16) << 4  # distance <= 32
+    keys = np.bitwise_count(words ^ table[:, None]).astype(np.uint16) << 4  # distance <= 32
     keys |= _CANDIDATE_INDEX
     return np.minimum.reduce(keys, axis=0)
 
@@ -155,7 +155,7 @@ def despread_stream(words: np.ndarray) -> np.ndarray:
     out = np.empty(len(words), dtype=np.uint8)
     for start in range(0, len(words), BLOCK_WORDS):
         block = slice(start, start + BLOCK_WORDS)
-        out[block] = nearest(words[block], _CODE_WORDS[:, None]) & 0xF
+        out[block] = nearest(words[block], _CODE_WORDS) & 0xF
     return out
 
 

@@ -10,6 +10,8 @@ The 16 canonical patterns come from a deterministic greedy scan of the
 C(32,5) = 201376 five-subsets in colexicographic order, keeping every
 pair of accepted patterns at symmetric difference >= 6 so that a single
 post-embedding chip error can never turn one valid pattern into another.
+Embedding and extraction share them as one (16,) table of position masks,
+whose bit p a slot's permutation sends to chip perms[k, p] and back.
 This module owns both keyed streams that sender and receiver share: the
 embedding schedule, which picks the symbols that carry covert load, and
 the per-symbol Fisher-Yates shuffles of the 32 chip positions.
@@ -74,10 +76,8 @@ class StegoCodebook:
     patterns: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        # the patterns as 32-bit position masks and as a (16, 5) position array
-        masks = tuple(sum(1 << p for p in pat) for pat in self.patterns)
-        object.__setattr__(self, "masks", masks)
-        object.__setattr__(self, "positions", np.array(self.patterns, dtype=np.intp))
+        # the patterns as 32-bit position masks
+        object.__setattr__(self, "masks", tuple(sum(1 << p for p in pat) for pat in self.patterns))
 
     def min_pairwise_distance(self) -> int:
         return min((a ^ b).bit_count() for i, a in enumerate(self.masks) for b in self.masks[:i])
@@ -323,35 +323,27 @@ class KeySchedule:
         return tuple(self._block[symbol_index - self._start].tolist())
 
 
-def _chip_bits(chips: np.ndarray) -> np.ndarray:
-    """1 << chip as uint32 for chip positions of any integer dtype.  The shift
-    casts as it goes: an astype copy keeps the gather's strided layout, and
-    the OR reduction over it ran about 4x slower."""
-    return np.left_shift(1, chips, dtype=np.uint32, casting="unsafe")
-
-
-def pattern_masks(perms: np.ndarray) -> np.ndarray:
-    """(n, 16) uint32 chip words: the 16 codebook patterns placed through each permutation.
-
-    Row k of perms maps codebook position p to chip perms[k, p].
-    """
-    chips = perms[:, build_codebook().positions.T]  # (n, 5, 16): column s is pattern s
-    # a pattern's 5 chips are distinct: OR adds their bits
-    return np.bitwise_or.reduce(_chip_bits(chips), axis=1)
+@functools.lru_cache(maxsize=1)
+def _mask_table() -> tuple[np.ndarray, np.ndarray]:
+    """The codebook as a (16,) uint32 table of masks over codebook positions, and its
+    span: the positions 0 up to the highest any pattern holds, as uint32."""
+    masks = np.array(build_codebook().masks, dtype=np.uint32)
+    return masks, np.arange(int(masks.max()).bit_length(), dtype=np.uint32)
 
 
 def embed_words(words: np.ndarray, stego_symbols: np.ndarray, perms: np.ndarray) -> np.ndarray:
     """Flip each word's chips at its covert symbol's pattern, placed through its permutation.
 
-    Only the chosen pattern's 5 chips are gathered, a block of words at a time.
+    Bit p of the pattern's mask flips chip perms[k, p]: the span's permutation
+    columns are read on their (span, block) transpose, a block of words at a time.
     """
-    columns = build_codebook().positions.T  # (5, 16): column s is pattern s
+    masks, span = _mask_table()
     out = np.empty_like(words)
     for start in range(0, len(words), BLOCK_WORDS):
         block = slice(start, start + BLOCK_WORDS)
-        rows = perms[block]
-        chips = rows[np.arange(len(rows)), columns[:, stego_symbols[block]]]  # (5, block)
-        out[block] = words[block] ^ np.bitwise_or.reduce(_chip_bits(chips))
+        bits = (masks[stego_symbols[block]] >> span[:, None]) & 1
+        # a pattern's chips are distinct: OR places each bit alone
+        out[block] = words[block] ^ np.bitwise_or.reduce(bits << perms[block, : len(span)].T)
     return out
 
 
@@ -360,18 +352,23 @@ def extract_diffs(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Covert symbols, exact flags and weights of diff words (received XOR nearest code).
 
-    The symbol is the placed pattern at the least symmetric difference from the
-    diff (ties to the lowest symbol), by ``chipmap.nearest`` a block of words
-    at a time; only a zero difference is exact.
+    Bit p of a diff read back through its permutation is chip perms[k, p], for p
+    in the span.  The symbol is the mask at the least symmetric difference from
+    it (ties to the lowest symbol; chips outside the span add the same to every
+    mask), by ``chipmap.nearest`` a block of words at a time.  A slot is exact
+    iff its read word is a mask and its diff has no other chip: weight 5.
     """
+    masks, span = _mask_table()
     symbols = np.empty(len(diffs), dtype=np.uint8)
     exact = np.empty(len(diffs), dtype=bool)
+    weight = np.bitwise_count(diffs)
     for start in range(0, len(diffs), BLOCK_WORDS):
         block = slice(start, start + BLOCK_WORDS)
-        keys = nearest(diffs[block], pattern_masks(perms[block]).T)
+        bits = (diffs[block] >> perms[block, : len(span)].T) & 1  # (span, block)
+        keys = nearest((1 << span) @ bits, masks)
         symbols[block] = keys & 0xF
-        exact[block] = keys < 16
-    return symbols, exact, np.bitwise_count(diffs)
+        exact[block] = (keys < 16) & (weight[block] == PATTERN_WEIGHT)
+    return symbols, exact, weight
 
 
 def _as_batch(permutation: tuple[int, ...]) -> np.ndarray:
@@ -425,11 +422,11 @@ def extract_with_permutation(
 ) -> ExtractResult:
     """Read the covert symbol back from the received word's diff set.
 
-    Despreads to the nearest standard code and takes the codebook pattern,
-    placed through the permutation, at the least symmetric difference from
-    the differing chips (ties to the lowest symbol).  Only a zero difference is exact; any
-    other is a fallback with exact=False, so the covert channel degrades
-    instead of erasing.
+    Despreads to the nearest standard code, reads the differing chips back
+    through the permutation and takes the codebook pattern at the least
+    symmetric difference from them (ties to the lowest symbol).  Only the
+    pattern itself, with no other chip, is exact; any other diff is a fallback
+    with exact=False, so the covert channel degrades instead of erasing.
     """
     diff = received.word ^ int(code_matrix()[decode_chips(received).symbol])
     symbol, exact, weight = extract_diffs(np.array([diff], np.uint32), _as_batch(permutation))

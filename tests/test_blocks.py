@@ -40,7 +40,6 @@ from dsss_stego.stego import (
     embedding_schedule,
     extract_diffs,
     key_registers,
-    pattern_masks,
     permutation_stream,
 )
 
@@ -55,7 +54,7 @@ def random_perms(rng, n):
 def whole_pattern_table(perms):
     # every slot's 16 placed patterns at once: (n, 32) chip bits, 5 column gathers ORed
     chip_bits = np.uint32(1) << perms.astype(np.uint32)
-    columns = build_codebook().positions.T
+    columns = np.array(build_codebook().patterns).T
     return functools.reduce(operator.ior, (chip_bits.take(column, axis=1) for column in columns))
 
 
@@ -145,15 +144,6 @@ def test_extract_ties_go_to_the_lowest_symbol(kind, n):
 
 
 @pytest.mark.parametrize("n", LENGTHS)
-def test_pattern_masks_equal_whole_pattern_table(n):
-    perms = random_perms(np.random.default_rng(n), n)
-    got = pattern_masks(perms)
-    assert got.dtype == np.uint32
-    assert np.array_equal(got, whole_pattern_table(perms))
-    assert np.array_equal(pattern_masks(perms.astype(np.int64)), got)  # any integer dtype
-
-
-@pytest.mark.parametrize("n", LENGTHS)
 def test_embed_equals_whole_pattern_table(n):
     rng = np.random.default_rng(n)
     words = rng.integers(0, 1 << 32, n, dtype=np.uint32)
@@ -170,15 +160,23 @@ def test_embed_equals_whole_pattern_table(n):
 def test_extract_equals_whole_pattern_table(n):
     rng = np.random.default_rng(n)
     perms = random_perms(rng, n)
-    clean = embed_words(np.zeros(n, np.uint32), rng.integers(0, 16, n), perms)
+    embedded = rng.integers(0, 16, n)
+    clean = embed_words(np.zeros(n, np.uint32), embedded, perms)
     noise = np.uint32(1) << rng.integers(0, CHIPS_PER_SYMBOL, n).astype(np.uint32)
     diffs = np.where(rng.random(n) < 0.5, clean, clean ^ noise)  # exact and fallback slots
+    # and a placed pattern with one more flip at a chip outside the codebook's span
+    span = max(build_codebook().masks).bit_length()
+    outside = perms[np.arange(n), rng.integers(span, CHIPS_PER_SYMBOL, n)].astype(np.uint32)
+    widened = rng.random(n) < 0.25
+    diffs = np.where(widened, clean ^ (np.uint32(1) << outside), diffs)
     distances = np.bitwise_count(diffs[:, None] ^ whole_pattern_table(perms))
     symbols, exact, weight = extract_diffs(diffs, perms)
     assert (symbols.dtype, exact.dtype) == (np.uint8, bool)
     assert np.array_equal(symbols, distances.argmin(axis=1))
     assert np.array_equal(exact, distances.min(axis=1) == 0)
     assert np.array_equal(weight, np.bitwise_count(diffs))
+    assert np.array_equal(symbols[widened], embedded[widened])
+    assert not exact[widened].any() and (weight[widened] == 6).all()
 
 
 KEY = StegoKey.from_hex("ACE1")
