@@ -14,6 +14,7 @@ import operator
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -21,7 +22,7 @@ import numpy as np
 import pytest
 
 import dsss_stego
-from dsss_stego import cli, pipeline, stego
+from dsss_stego import channel, cli, pipeline, stego
 from dsss_stego.channel import ChannelParams, make_rng, transmit_stream
 from dsss_stego.chipmap import BLOCK_WORDS, CHIPS_PER_SYMBOL, code_matrix, despread_stream, pack_chips
 from dsss_stego.pipeline import (
@@ -73,6 +74,137 @@ def test_transmit_equals_one_draw(n):
     assert np.array_equal(out, words ^ flips)
     assert count == int(np.bitwise_count(flips).sum())
     assert blocked.random() == whole.random()
+
+
+PART_LENGTHS = (0, 1, 4095, 4096, 8191, 8192, 8193, 3 * BLOCK_WORDS + 1, 100_000)
+
+
+def _buffered_rng(seed, bit_generator=np.random.PCG64):
+    # three uint8 draws take one uint32, which leaves the other half of a
+    # 64-bit output buffered in the state, the part that advance() clears
+    rng = np.random.Generator(bit_generator(seed))
+    rng.integers(0, 2, 3, dtype=np.uint8)
+    return rng
+
+
+def _recorded_blocks(monkeypatch, cores):
+    # (address of its first flip, length, thread) of every block drawn, and the
+    # thread count of every call, forced to min(cores, blocks)
+    monkeypatch.setattr(channel, "_usable_cores", lambda: cores)
+    blocks, counts = [], []
+    draw_block, draw_blocks = channel._draw_block, channel._draw_blocks
+
+    def recorded_block(flips, *args):
+        blocks.append((flips.__array_interface__["data"][0], len(flips), threading.get_ident()))
+        draw_block(flips, *args)
+
+    def recorded_blocks(flips, rng, p_chip, count):
+        counts.append(count)
+        draw_blocks(flips, rng, p_chip, count)
+
+    monkeypatch.setattr(channel, "_draw_block", recorded_block)
+    monkeypatch.setattr(channel, "_draw_blocks", recorded_blocks)
+    return blocks, counts
+
+
+def _held_blocks(monkeypatch, count):
+    # each thread holds its first block until all `count` threads hold one, so
+    # every thread draws; a thread that never comes breaks the barrier and the call
+    barrier, seen, draw_block = threading.Barrier(count, timeout=30), set(), channel._draw_block
+
+    def held(flips, *args):
+        if threading.get_ident() not in seen:
+            seen.add(threading.get_ident())
+            barrier.wait()
+        draw_block(flips, *args)
+
+    monkeypatch.setattr(channel, "_draw_block", held)
+
+
+def _assert_one_draw(words, rng, reference):
+    # the words, flip count, full generator state and next double of one (N, 32) draw
+    hits = reference.random((len(words), CHIPS_PER_SYMBOL)) < 0.1
+    out, count = transmit_stream(words, ChannelParams(0.1), rng)
+    assert np.array_equal(out, words ^ pack_chips(hits))
+    assert count == int(hits.sum())
+    np.testing.assert_equal(rng.bit_generator.state, reference.bit_generator.state)
+    assert rng.random() == reference.random()
+
+
+@pytest.mark.parametrize("cores", [1, 2, 3, 4])
+@pytest.mark.parametrize("n", PART_LENGTHS)
+def test_threaded_transmit_equals_one_draw(monkeypatch, cores, n):
+    words = np.random.default_rng(n).integers(0, 1 << 32, n, dtype=np.uint32)
+    rng, reference = _buffered_rng(n), _buffered_rng(n)
+    assert rng.bit_generator.state["has_uint32"] == 1
+    blocks, counts = _recorded_blocks(monkeypatch, cores)
+    _assert_one_draw(words, rng, reference)
+    assert counts == [max(1, min(cores, n // BLOCK_WORDS))]
+    blocks.sort()  # by the address of the first flip: in stream order
+    starts = [start for start, _, _ in blocks]
+    assert starts == [starts[0] + 4 * k * BLOCK_WORDS for k in range(len(blocks))]
+    assert [length for _, length, _ in blocks] == [
+        min(BLOCK_WORDS, n - start) for start in range(0, n, BLOCK_WORDS)
+    ]
+    threads = {thread for _, _, thread in blocks}
+    assert len(threads) <= counts[0]
+    if counts[0] == 1:
+        assert threads <= {threading.get_ident()}
+
+
+def test_every_thread_draws_under_fast_thread_switching(monkeypatch):
+    # more threads than cores, each made to draw, switched every microsecond
+    n = 8 * BLOCK_WORDS + 5
+    blocks, counts = _recorded_blocks(monkeypatch, 8)
+    _held_blocks(monkeypatch, 8)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        _assert_one_draw(np.zeros(n, dtype=np.uint32), _buffered_rng(9), _buffered_rng(9))
+    finally:
+        sys.setswitchinterval(interval)
+    assert counts == [8] and len(blocks) == 9
+    assert len({thread for _, _, thread in blocks}) == 8
+
+
+def test_other_bit_generators_take_one_thread(monkeypatch):
+    # MT19937 has no advance(): its blocks are drawn in order, in the calling thread
+    n = 3 * BLOCK_WORDS
+    words = np.random.default_rng(n).integers(0, 1 << 32, n, dtype=np.uint32)
+    blocks, counts = _recorded_blocks(monkeypatch, 4)
+    _assert_one_draw(
+        words, _buffered_rng(4, np.random.MT19937), _buffered_rng(4, np.random.MT19937)
+    )
+    assert counts == [1]
+    assert [(length, thread) for _, length, thread in blocks] == [
+        (BLOCK_WORDS, threading.get_ident())
+    ] * 3
+
+
+class _BlockFailed(BaseException):
+    pass
+
+
+@pytest.mark.parametrize(
+    "in_caller, error", [(False, RuntimeError), (True, RuntimeError), (False, _BlockFailed)]
+)
+def test_failed_block_raises_after_every_thread_is_joined(monkeypatch, in_caller, error):
+    # a block that raises, in a worker or in the calling thread, fails the call:
+    # no words come back with flips left unset, and no thread outlives it
+    monkeypatch.setattr(channel, "_usable_cores", lambda: 4)
+    caller, draw_block = threading.get_ident(), channel._draw_block
+
+    def failing(flips, *args):
+        if (threading.get_ident() == caller) == in_caller:
+            raise error("block failed")
+        draw_block(flips, *args)
+
+    monkeypatch.setattr(channel, "_draw_block", failing)
+    _held_blocks(monkeypatch, 4)  # 4 blocks, one for each thread
+    threads = threading.active_count()
+    with pytest.raises(error, match="block failed"):
+        transmit_stream(np.zeros(4 * BLOCK_WORDS, np.uint32), ChannelParams(0.1), make_rng(1))
+    assert threading.active_count() == threads
 
 
 @pytest.mark.parametrize("n", LENGTHS)
@@ -248,6 +380,15 @@ def test_transmit_peak_is_flat():
     # one (N, 32) float64 draw would be 25 MiB at this length
     words = np.zeros(N_WORDS, dtype=np.uint32)
     transmit_stream(words[:10], ChannelParams(0.1), make_rng(1))  # what a first call sets up, untraced
+    assert _traced_peak(lambda: transmit_stream(words, ChannelParams(0.1), make_rng(1))) <= 2 * MIB
+
+
+@pytest.mark.parametrize("cores", [1, 2, 4])
+def test_threaded_transmit_peak_is_flat(monkeypatch, cores):
+    # the threads share one block's draw buffers, freed before the words are XORed
+    monkeypatch.setattr(channel, "_usable_cores", lambda: cores)
+    words = np.zeros(N_WORDS, dtype=np.uint32)
+    transmit_stream(words[:10], ChannelParams(0.1), make_rng(1))
     assert _traced_peak(lambda: transmit_stream(words, ChannelParams(0.1), make_rng(1))) <= 2 * MIB
 
 
