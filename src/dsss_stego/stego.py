@@ -16,12 +16,16 @@ This module owns both keyed streams that sender and receiver share: the
 embedding schedule, which picks the symbols that carry covert load, and
 the per-symbol Fisher-Yates shuffles of the 32 chip positions.
 
-The keystream is made in bulk, bit-exact with stepping the registers one
-bit at a time: a register is linear over GF(2), so each 2^14-bit span of
-its stream is an XOR of rows of a key-independent table (``_basis``), and
-its state, the next 32 bits, continues it exactly.  The walk reads the
-rejection-sampled Fisher-Yates draws one stretch of stream at a time, and
-the swaps run over only the rows asked for, so no whole-stream table is made.
+The keystream is made in bulk as bytes, bit-exact with stepping the
+registers one bit at a time: a register is linear over GF(2), so each
+2^14-bit span of its stream is an XOR of rows of a key-independent table
+(``_basis``), and its state, the next 32 bits, continues it exactly.  The
+rejection walk of the Fisher-Yates draws accepts or rejects a draw on how
+its bits compare with the bound's own, so it is a 247-state automaton, and
+it steps once a stream byte (``_automaton``).  Its states and a (state, byte)
+table of accepted-draw ends place every accepted draw of a stretch of stream;
+only the rows asked for read their draws back from the stream bytes and run
+their swaps, so no whole-stream table is made.
 """
 
 from __future__ import annotations
@@ -49,7 +53,7 @@ CODEBOOK_SIZE = 16
 # streams stay apart.
 PRIMARY_TAPS = (32, 22, 2, 1)
 SECONDARY_TAPS = (32, 30, 26, 25)
-_SPAN = 1 << 14  # stream bits made per XOR of basis rows (lfsr_bits)
+_SPAN = 1 << 14  # stream bits made per XOR of basis rows (_stream_bytes)
 
 
 class InvalidCarrierError(ValueError):
@@ -157,8 +161,8 @@ def _basis(taps: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(row & ((1 << (32 + _SPAN)) - 1) for row in reversed(rows))
 
 
-def lfsr_bits(seed: int, taps: tuple[int, ...], count: int) -> np.ndarray:
-    """First `count` output bits (uint8 0/1) of a register seeded with `seed`.
+def _stream_bytes(seed: int, taps: tuple[int, ...], size: int) -> bytes:
+    """First `size` bytes of the stream of a register seeded with `seed`, 8 bits a byte, LSB first.
 
     The 32-bit register shifts right, outputs its low bit and feeds back the
     parity of the tapped bits, so the stream x starts with the seed bits,
@@ -170,53 +174,122 @@ def lfsr_bits(seed: int, taps: tuple[int, ...], count: int) -> np.ndarray:
     if not 0 < seed < 1 << 32:
         raise ValueError(f"LFSR seed must be a nonzero 32-bit value, got {seed}")
     rows, spans, state = _basis(tuple(taps)), [], seed
-    for _ in range(-(-count // _SPAN)):
+    for start in range(0, size, _SPAN // 8):
         acc = functools.reduce(operator.xor, [row for k, row in enumerate(rows) if state >> k & 1])
-        spans.append(acc.to_bytes(4 + _SPAN // 8, "little")[: _SPAN // 8])
+        spans.append(acc.to_bytes(4 + _SPAN // 8, "little")[: min(_SPAN // 8, size - start)])
         state = acc >> _SPAN
-    return np.unpackbits(np.frombuffer(b"".join(spans), np.uint8), count=count, bitorder="little")
+    return b"".join(spans)
 
 
-def _state_at(bits: np.ndarray, pos: int) -> int:
+def lfsr_bits(seed: int, taps: tuple[int, ...], count: int) -> np.ndarray:
+    """First `count` output bits (uint8 0/1) of a register seeded with `seed` (_stream_bytes)."""
+    stream = _stream_bytes(seed, taps, -(-count // 8))
+    return np.unpackbits(np.frombuffer(stream, np.uint8), count=count, bitorder="little")
+
+
+def _state_at(stream: bytes, pos: int) -> int:
     """The register state at stream position `pos`: the next 32 bits, LSB first."""
-    return int.from_bytes(np.packbits(bits[pos : pos + 32], bitorder="little").tobytes(), "little")
+    return int.from_bytes(stream[pos >> 3 : (pos >> 3) + 5], "little") >> (pos & 7) & 0xFFFFFFFF
 
 
-# (window bound, draw width) of each Fisher-Yates swap i = 31..1: a w-bit draw
-# is the top w bits of a 5-bit stream window, rejected above i (no modulo bias)
-_DRAWS = tuple((((i + 1) << (5 - i.bit_length())) - 1, i.bit_length()) for i in range(31, 0, -1))
+# each byte's bits in the reverse order: a stream's bytes so translated read MSB first
+_REVERSED = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
+# Fisher-Yates swap i = 31..1 draws j <= i from the next w = i.bit_length() stream
+# bits, MSB first, and draws again while j > i (no modulo bias)
+_BOUNDS = tuple(range(CHIPS_PER_SYMBOL - 1, 0, -1))
+_WIDTH_MASKS = np.array([(1 << i.bit_length()) - 1 for i in _BOUNDS], dtype=np.uint8)
 _MEAN_BITS = 172  # keystream bits one permutation uses on average (171.8)
+_ROW_CHUNK = BLOCK_WORDS // 4  # rows whose draws are read and shuffled at once
 
 
-def _walk(windows: bytes, count: int) -> tuple[int, int, bytearray]:
-    """How many of up to `count` permutations fit, the stream position after them and
-    their accepted windows, 31 each.  windows[p] holds bits p..p+4, MSB first."""
-    accepted = bytearray()
-    append, pos, start = accepted.append, 0, 0
-    try:
-        for done in range(count):
-            start = pos
-            for bound, width in _DRAWS:
-                j = windows[pos]
-                pos += width
-                while j > bound:
-                    j = windows[pos]
-                    pos += width
-                append(j)
-    except IndexError:  # past the windows: drop the partial permutation
-        del accepted[len(_DRAWS) * done :]
-        return done, start, accepted
-    return count, pos, accepted
+def _bit_steps() -> tuple[np.ndarray, np.ndarray]:
+    """The walk read one stream bit at a time: the (states, 2) state after bit 0 or 1
+    from each state, and whether that bit ends an accepted draw.
+
+    A state is draw d (of bound i = 31 - d and width w), k < w bits of it read,
+    and whether those bits are below (-1), equal to (0) or above (1) the first
+    k bits of i: below accepts after w bits, above rejects, and equal counts as
+    below once i's remaining bits are all 1.  The states reachable from the
+    first draw's, 247 of them, are numbered from 0 in breadth-first order.
+    """
+    def settle(d: int, k: int, order: int) -> tuple[int, int, int]:
+        rest = (1 << (_BOUNDS[d].bit_length() - k)) - 1
+        return d, k, -1 if order == 0 and _BOUNDS[d] & rest == rest else order
+
+    states = [settle(0, 0, 0)]
+    number, steps, accepts = {states[0]: 0}, [], []
+    for d, k, order in states:  # grows as states are found
+        bound = _BOUNDS[d]
+        width = bound.bit_length()
+        top = bound >> (width - 1 - k) & 1
+        for bit in (0, 1):
+            now = order or (bit > top) - (bit < top)
+            if k + 1 < width:
+                after = settle(d, k + 1, now)
+            else:  # the draw is read: the next one, or this one again
+                after = settle((d + 1) % len(_BOUNDS) if now <= 0 else d, 0, 0)
+            steps.append(number.setdefault(after, len(states)))
+            if steps[-1] == len(states):
+                states.append(after)
+            accepts.append(k + 1 == width and now <= 0)
+    return np.array(steps, np.uint8).reshape(-1, 2), np.array(accepts, np.uint8).reshape(-1, 2)
 
 
-def _shuffle(accepted: np.ndarray) -> np.ndarray:
+@functools.lru_cache(maxsize=1)
+def _automaton() -> tuple[tuple[bytes, ...], np.ndarray]:
+    """The walk read one stream byte at a time, its bits MSB first.
+
+    Row s of the first table is the state after each byte from state s, and
+    entry (s << 8 | byte) of the second has bit 7 - j set iff the byte's j-th
+    bit ends an accepted draw.  Both come from the one-bit step by three
+    doublings: the first n bits from s, then n more from where those left.
+    """
+    table, ends = _bit_steps()
+    for n in (1, 2, 4):
+        later = ends[table]  # [s, first n bits, next n bits]
+        later |= ends[:, :, None] << n
+        table, ends = table[table].reshape(len(table), -1), later.reshape(len(table), -1)
+    return tuple(map(bytes, table)), ends.reshape(-1)
+
+
+def _walk(stream: bytes, count: int) -> tuple[int, int, np.ndarray]:
+    """How many of up to `count` permutations the stream holds whole, the stream position
+    after them and where each of their 31 accepted draws ends: its last bit, (done, 31) int32.
+
+    The stream's bytes are read MSB first, from a permutation's first draw.  One
+    step a byte gives the state after every byte; the state before each and the
+    byte pick its draw ends.
+    """
+    table, ends_at = _automaton()
+    s = 0
+    after = bytes([s := table[s][b] for b in stream])
+    at = np.frombuffer((b"\0" + after)[:-1], np.uint8).astype(np.uint16)
+    at <<= 8
+    at |= np.frombuffer(stream, np.uint8)
+    ends = np.flatnonzero(np.unpackbits(np.take(ends_at, at)).view(bool))
+    done = min(count, len(ends) // len(_BOUNDS))
+    ends = ends[: done * len(_BOUNDS)].astype(np.int32).reshape(done, len(_BOUNDS))
+    return done, int(ends[-1, -1]) + 1 if done else 0, ends
+
+
+def _draws(stream: bytes, ends: np.ndarray) -> np.ndarray:
+    """The draws that end at `ends` (int32, a column a swap) in a stream read MSB first.
+
+    words[q] holds bits 8q..8q+15, so a draw's last bit e is bit 11 - (e - 4) % 8
+    of words[(e - 4) // 8]: every draw ends at bit 4 or later, and spans 5 bits at most.
+    """
+    words = np.ndarray(len(stream) - 1, ">u2", stream, strides=(1,))
+    first = ends - 4
+    return (words[first >> 3] >> (11 - (first & 7)) & _WIDTH_MASKS).astype(np.uint8)
+
+
+def _shuffle(draws: np.ndarray) -> np.ndarray:
     """Fisher-Yates swaps of all rows at once: column c swaps 31 - c with its draw.
     They run on the (32, n) transpose, where each swap reads a contiguous row."""
-    n = len(accepted)
+    n = len(draws)
     perms = np.repeat(np.arange(CHIPS_PER_SYMBOL, dtype=np.uint8), n).reshape(CHIPS_PER_SYMBOL, n)
-    draws = accepted.T >> np.array([[5 - width] for _, width in _DRAWS], dtype=np.uint8)
     flat, cols, stride = perms.reshape(-1), np.arange(n), np.intp(n)  # intp: no uint8 wrap
-    for row, i in zip(draws, range(CHIPS_PER_SYMBOL - 1, 0, -1)):
+    for row, i in zip(draws.T, _BOUNDS):
         at = row * stride + cols
         picked = flat[at]
         flat[at] = perms[i]
@@ -225,36 +298,40 @@ def _shuffle(accepted: np.ndarray) -> np.ndarray:
 
 
 def permutation_stream(state_a: int, state_b: int, rows: np.ndarray) -> tuple[np.ndarray, int, int]:
-    """The permutations at ascending stream offsets `rows` and the register states after the last.
+    """The permutations at stream offsets `rows` and the register states after the last.
 
     The keystream is the primary register's stream XOR the secondary's.
     Row k of the (len(rows), 32) uint8 result maps codebook position p to
     chip row[p].  The stream is made and walked a stretch of up to
     BLOCK_WORDS permutations at a time, each continued from the states after
     the last whole permutation of the one before; one that falls short
-    doubles the slack of the next.  A stretch shuffles only its rows asked for.
+    doubles the slack of the next.  A stretch reads the draws of only its
+    rows asked for back from its stream bytes, and shuffles them.  The rows
+    are integers, >= 0 and non-decreasing; a repeated row repeats its permutation.
     """
+    rows = np.asarray(rows)
+    if rows.ndim != 1 or rows.dtype.kind not in "iu":
+        raise ValueError(f"rows must be a 1-D integer array, got {rows.ndim}-D {rows.dtype}")
+    if (rows[:1] < 0).any() or (rows[1:] < rows[:-1]).any():
+        raise ValueError("rows must be >= 0 and non-decreasing")
     out = np.empty((len(rows), CHIPS_PER_SYMBOL), dtype=np.uint8)
     done, kept, slack = 0, 0, 512
     count = int(rows[-1]) + 1 if len(rows) else 0
     while done < count:
         todo = min(count - done, BLOCK_WORDS)
-        size = todo * (_MEAN_BITS + 8) + slack
-        b = lfsr_bits(state_b, SECONDARY_TAPS, size)
-        keystream = lfsr_bits(state_a, PRIMARY_TAPS, size) ^ b
-        m = size - 36  # a walk ends by m + 4, leaving a whole state after it
-        windows = keystream[:m].copy()
-        for k in range(1, 5):
-            windows <<= 1
-            windows |= keystream[k : m + k]
-        walked, pos, accepted = _walk(windows.tobytes(), todo)
+        size = (todo * (_MEAN_BITS + 8) + slack) // 8  # bytes walked; 4 more hold the states after
+        a = _stream_bytes(state_a, PRIMARY_TAPS, size + 4)
+        b = _stream_bytes(state_b, SECONDARY_TAPS, size + 4)
+        keystream = np.frombuffer(a, np.uint8) ^ np.frombuffer(b, np.uint8)
+        stream = keystream.tobytes().translate(_REVERSED)  # each byte read MSB first
+        walked, pos, ends = _walk(stream[:size], todo)
         slack *= 1 if walked == todo else 2
-        table = np.frombuffer(accepted, dtype=np.uint8).reshape(walked, len(_DRAWS))
         end = int(np.searchsorted(rows, done + walked))
-        out[kept:end] = _shuffle(table[rows[kept:end] - done])
+        for at in range(kept, end, _ROW_CHUNK):
+            chunk = rows[at : min(at + _ROW_CHUNK, end)] - done
+            out[at : at + len(chunk)] = _shuffle(_draws(stream, ends[chunk]))
         kept, done = end, done + walked
-        state_b = _state_at(b, pos)
-        state_a = _state_at(keystream, pos) ^ state_b
+        state_a, state_b = _state_at(a, pos), _state_at(b, pos)
     return out, state_a, state_b
 
 
@@ -272,9 +349,9 @@ def embedding_schedule(key: StegoKey, embed_rate: float, num_symbols: int) -> np
         raise ValueError(f"num_symbols must be >= 0, got {num_symbols}")
     if embed_rate in (0.0, 1.0):
         return np.full(num_symbols, embed_rate == 1.0)
-    bits = lfsr_bits(key_registers(key)[0], SECONDARY_TAPS, 16 * num_symbols)
+    stream = _stream_bytes(key_registers(key)[0], SECONDARY_TAPS, 2 * num_symbols)
     # d / 65536 < r as d < r * 65536: both are exact power-of-two scalings
-    return np.packbits(bits).view(">u2") < embed_rate * 65536.0
+    return np.frombuffer(stream.translate(_REVERSED), ">u2") < embed_rate * 65536.0
 
 
 def slot_permutations(key: StegoKey, slots: np.ndarray) -> np.ndarray:

@@ -417,12 +417,12 @@ def test_diag_out_peak_is_flat(tmp_path, monkeypatch):
 def _replayed_walk_peak(monkeypatch, call, walked, want):
     # Under tracemalloc each Python int the walk makes is traced, which slows it
     # about 9x.  So the traced call replays the walks of an untraced one in
-    # order, each accepted buffer copied so that its bytes still count.
+    # order, each array of draw ends copied so that its bytes still count.
     replay = iter(walked)
 
-    def replayed(windows, count):
-        done, pos, accepted = next(replay)
-        return done, pos, bytearray(accepted)
+    def replayed(stream, count):
+        done, pos, ends = next(replay)
+        return done, pos, ends.copy()
 
     monkeypatch.setattr(stego, "_walk", replayed)
     got = []
@@ -472,6 +472,15 @@ def test_slot_permutations_peak_is_the_result_and_one_stretch(monkeypatch, full_
     perms, walked = full_walk
     call = functools.partial(slot_permutations, KEY, np.arange(N_WORDS))
     assert _replayed_walk_peak(monkeypatch, call, walked, perms) <= 8 * MIB
+
+
+def test_one_stretch_slot_permutations_peak_with_its_walk():
+    # walked under tracemalloc: one stretch of stream bytes, its int32 draw ends,
+    # a chunk of rows' draws and the 128 KiB result; a walk over 5-bit window
+    # arrays, a byte per stream bit, peaked at 3.10 MiB here
+    slot_permutations(KEY, np.arange(3))  # the walk's tables are built untraced
+    rows = np.arange(BLOCK_WORDS)
+    assert _traced_peak(lambda: slot_permutations(KEY, rows)) <= 3 * MIB
 
 
 def test_half_load_slot_permutations_peak(monkeypatch, full_walk):

@@ -10,6 +10,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import dsss_stego
 from dsss_stego import stego
@@ -253,6 +255,151 @@ def test_stretch_too_short_for_one_permutation_grows(monkeypatch):
     got, *got_states = permutation_stream(*states, np.arange(5))
     assert walked[0] == 0
     assert np.array_equal(got, want) and got_states == want_states
+
+
+def test_short_first_stretch_makes_few_streams(monkeypatch):
+    # the same undersized first stretch: the slack doubles until a permutation
+    # fits, a few stretches of two register streams each
+    states = stego.key_registers(StegoKey.from_hex("ACE1"))
+    want = permutation_stream(*states, np.arange(5))
+    monkeypatch.setattr(stego, "BLOCK_WORDS", 1)
+    monkeypatch.setattr(stego, "_MEAN_BITS", -400)
+    stream_bytes, made = stego._stream_bytes, []
+
+    def counted(*args):
+        made.append(args)
+        assert len(made) < 40, "the stretch never grows"
+        return stream_bytes(*args)
+
+    monkeypatch.setattr(stego, "_stream_bytes", counted)
+    got = permutation_stream(*states, np.arange(5))
+    assert np.array_equal(got[0], want[0]) and got[1:] == want[1:]
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [[2, 8, 5], [-1, 3], [[0, 1], [2, 3]], [0.0, 1.0], [False, True]],
+    ids=["decreasing", "negative", "2-D", "float", "bool"],
+)
+def test_permutation_stream_rejects_malformed_rows(rows):
+    with pytest.raises(ValueError, match="rows"):
+        permutation_stream(*stego.key_registers(StegoKey.from_hex("ACE1")), np.array(rows))
+
+
+def test_permutation_stream_repeats_duplicate_rows():
+    states = stego.key_registers(StegoKey.from_hex("ACE1"))
+    rows = np.array([0, 0, 3, 3, 3, 9], dtype=np.uint16)
+    whole, *after = permutation_stream(*states, np.arange(10))
+    got, *got_after = permutation_stream(*states, rows)
+    assert np.array_equal(got, whole[rows]) and got_after == after
+
+
+# -- the rejection walk as an automaton ---------------------------------------
+
+# (window bound, draw width) of each Fisher-Yates swap i = 31..1: a w-bit draw
+# is the top w bits of a 5-bit stream window, rejected above i (no modulo bias)
+REFERENCE_DRAWS = tuple(
+    (((i + 1) << (5 - i.bit_length())) - 1, i.bit_length()) for i in range(31, 0, -1)
+)
+
+
+def reference_walk(windows: bytes, count: int) -> tuple[int, int, bytearray]:
+    """The window loop the automaton replaced: how many of up to `count` permutations
+    fit, the stream position after them and their accepted windows, 31 each.
+    windows[p] holds bits p..p+4, MSB first."""
+    accepted = bytearray()
+    append, pos, start = accepted.append, 0, 0
+    try:
+        for done in range(count):
+            start = pos
+            for bound, width in REFERENCE_DRAWS:
+                j = windows[pos]
+                pos += width
+                while j > bound:
+                    j = windows[pos]
+                    pos += width
+                append(j)
+    except IndexError:  # past the windows: drop the partial permutation
+        del accepted[len(REFERENCE_DRAWS) * done :]
+        return done, start, accepted
+    return count, pos, accepted
+
+
+def stream_windows(bits: np.ndarray) -> bytes:
+    # windows[p] = bits p..p+4, MSB first, for every p < len(bits); 4 zero bits pad the end
+    padded = np.concatenate((bits, np.zeros(4, np.uint8)))
+    windows = np.zeros(len(bits), np.uint8)
+    for k in range(5):
+        windows = windows << 1 | padded[k : k + len(bits)]
+    return windows.tobytes()
+
+
+# about 21.5 bytes a permutation: most random streams end inside one, at any bit
+# of a byte, and many counts ask for more permutations than the stream holds;
+# short arbitrary bytes add the degenerate streams (all zeros, all ones, ...)
+random_bytes = st.builds(
+    lambda seed, size: np.random.default_rng(seed).bytes(size),
+    st.integers(0, 2**32 - 1),
+    st.integers(0, 900),
+)
+streams = st.one_of(st.binary(max_size=200), random_bytes)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(stream=streams, count=st.integers(0, 45))
+def test_automaton_walk_equals_reference_walk(stream, count):
+    # A draw that reads the zero padding ends its permutation's walk: the next
+    # draw starts past the windows.  The last draw is 1 bit wide, so a
+    # permutation the reference keeps reads no padding.
+    bits = np.unpackbits(np.frombuffer(stream, np.uint8))  # the walk reads each byte MSB first
+    want = reference_walk(stream_windows(bits), count)
+    done, pos, ends = stego._walk(stream, count)
+    assert (done, pos) == want[:2] and pos <= len(bits)
+    assert ends.dtype == np.int32 and ends.shape == (done, len(REFERENCE_DRAWS))
+    widths = np.array([width for _, width in REFERENCE_DRAWS], np.uint8)
+    draws = np.frombuffer(want[2], np.uint8).reshape(done, len(REFERENCE_DRAWS)) >> (5 - widths)
+    assert np.array_equal(stego._draws(stream + b"\0", ends), draws)
+
+
+def test_automaton_tables():
+    table, ends = stego._automaton()
+    assert len(table) <= 256  # a state fits a byte
+    assert len(table) == 247  # for the 31 draws of a 32-chip shuffle
+    assert all(type(row) is bytes and len(row) == 256 for row in table)
+    assert max(map(max, table)) < len(table)
+    assert ends.dtype == np.uint8 and ends.shape == (len(table) * 256,)
+    reached, frontier = {0}, {0}
+    while frontier:
+        frontier = {after for state in frontier for after in table[state]} - reached
+        reached |= frontier
+    assert reached == set(range(len(table)))
+
+
+def test_automaton_lazy_and_small():
+    # a fresh interpreter: importing builds no table, the first walk builds it,
+    # the build peaks at 256 KiB and the tables keep under 192 KiB
+    script = """
+import json, sys, tracemalloc
+import numpy as np
+from dsss_stego import stego
+at_import = stego._automaton.cache_info().currsize
+tracemalloc.start()
+table, ends = stego._automaton()
+peak = tracemalloc.get_traced_memory()[1]
+tracemalloc.stop()
+stego._automaton.cache_clear()
+stego.slot_permutations(stego.StegoKey.from_hex("ACE1"), np.arange(3))
+print(json.dumps({
+    "at_import": at_import, "after_walk": stego._automaton.cache_info().currsize, "peak": peak,
+    "bytes": sys.getsizeof(table) + sum(map(sys.getsizeof, table)) + ends.nbytes}))
+"""
+    src = str(Path(dsss_stego.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
+    info = json.loads(out.stdout)
+    assert info["at_import"] == 0 and info["after_walk"] == 1
+    assert info["peak"] <= 256 * 1024
+    assert info["bytes"] < 192 * 1024
 
 
 # -- keyed permutations ------------------------------------------------------
