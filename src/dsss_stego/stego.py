@@ -198,7 +198,9 @@ _REVERSED = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
 # bits, MSB first, and draws again while j > i (no modulo bias)
 _BOUNDS = tuple(range(CHIPS_PER_SYMBOL - 1, 0, -1))
 _WIDTH_MASKS = np.array([(1 << i.bit_length()) - 1 for i in _BOUNDS], dtype=np.uint8)
-_MEAN_BITS = 172  # keystream bits one permutation uses on average (171.8)
+# keystream bits one permutation uses on average (171.8, standard deviation 17.3); a
+# stretch walks 2 more a permutation, 3.9 deviations at 500 permutations, 7.8 at 4096
+_MEAN_BITS = 172
 _ROW_CHUNK = BLOCK_WORDS // 4  # rows whose draws are read and shuffled at once
 
 
@@ -288,9 +290,10 @@ def _shuffle(draws: np.ndarray) -> np.ndarray:
     They run on the (32, n) transpose, where each swap reads a contiguous row."""
     n = len(draws)
     perms = np.repeat(np.arange(CHIPS_PER_SYMBOL, dtype=np.uint8), n).reshape(CHIPS_PER_SYMBOL, n)
-    flat, cols, stride = perms.reshape(-1), np.arange(n), np.intp(n)  # intp: no uint8 wrap
-    for row, i in zip(draws.T, _BOUNDS):
-        at = row * stride + cols
+    flat, ats = perms.reshape(-1), np.array(draws.T, dtype=np.intp, order="C")
+    ats *= n
+    ats += np.arange(n)  # the flat index of each swap's drawn position
+    for at, i in zip(ats, _BOUNDS):
         picked = flat[at]
         flat[at] = perms[i]
         perms[i] = picked
@@ -319,7 +322,7 @@ def permutation_stream(state_a: int, state_b: int, rows: np.ndarray) -> tuple[np
     count = int(rows[-1]) + 1 if len(rows) else 0
     while done < count:
         todo = min(count - done, BLOCK_WORDS)
-        size = (todo * (_MEAN_BITS + 8) + slack) // 8  # bytes walked; 4 more hold the states after
+        size = (todo * (_MEAN_BITS + 2) + slack) // 8  # bytes walked; 4 more hold the states after
         a = _stream_bytes(state_a, PRIMARY_TAPS, size + 4)
         b = _stream_bytes(state_b, SECONDARY_TAPS, size + 4)
         keystream = np.frombuffer(a, np.uint8) ^ np.frombuffer(b, np.uint8)
