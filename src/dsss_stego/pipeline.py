@@ -9,6 +9,7 @@ bit-identical for identical configurations (seed included).
 
 from __future__ import annotations
 
+import operator
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from itertools import accumulate
@@ -115,6 +116,16 @@ def decode_stream(
     return DecodedStream(data_bits, symbols_to_bits(stego_symbols), slots)
 
 
+def _as_int(name: str, value) -> int:
+    """An integer (numpy's too) as an int; ValueError for a bool or a non-integer."""
+    if not isinstance(value, (bool, np.bool_)):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class SimConfig:
     """One simulated transmission; a random payload unless data_bits is given."""
@@ -128,8 +139,12 @@ class SimConfig:
     stego_bits: np.ndarray | None = field(default=None, compare=False)
 
     def __post_init__(self):
+        for name in ("num_symbols", "rng_seed"):
+            object.__setattr__(self, name, _as_int(name, getattr(self, name)))
         if self.num_symbols < 1:
             raise ValueError(f"num_symbols must be >= 1, got {self.num_symbols}")
+        if self.rng_seed < 0:
+            raise ValueError(f"rng_seed must be >= 0, got {self.rng_seed}")
         if not 0.0 <= self.embed_rate <= 1.0:
             raise ValueError(f"embed_rate must be in [0, 1], got {self.embed_rate}")
         if self.stego_bits is not None and self.data_bits is None:
@@ -245,6 +260,25 @@ def _joined(pieces: list[np.ndarray], step: int = 0) -> np.ndarray:
     return np.concatenate([piece + j * step for j, piece in enumerate(pieces)] if step else pieces)
 
 
+def _payload_bits(rng: np.random.Generator, count: int) -> np.ndarray:
+    """rng.integers(0, 2, count, dtype=np.uint8) for a count divisible by 4, and the same
+    generator state after it, read from PCG64's raw 64-bit words.
+
+    A range-2 uint8 draw never rejects (its Lemire threshold is 0): each value is bit 7
+    of one byte of a 32-bit half, low half first, so of each little-endian byte of the
+    words.  An odd number of halves leaves the last word's high half buffered, as
+    integers does."""
+    bit_generator = rng.bit_generator
+    words = bit_generator.random_raw(-(-count // 8))
+    state = bit_generator.state
+    # integers would serve a buffered half first; a fresh make_rng generator has none
+    assert not state["has_uint32"], "the generator holds a buffered 32-bit half"
+    if count % 8:
+        bit_generator.state = {**state, "has_uint32": 1, "uinteger": int(words[-1]) >> 32}
+    bits = words.astype("<u8", copy=False).view(np.uint8)  # a copy only on big-endian hosts
+    return np.right_shift(bits, 7, out=bits)[:count]
+
+
 def _simulate(
     configs: Sequence[SimConfig], top_rate: float, top: SlotPerms, rows: dict[float, np.ndarray]
 ) -> list[SimReport]:
@@ -260,9 +294,9 @@ def _simulate(
         perms.append(top_perms[index])
         rngs.append(rng := make_rng(config.rng_seed))
         if config.data_bits is None:
-            # data then covert in one draw, equal to two: a range-2 uint8 draw takes one
-            # byte of a 32-bit word, and 4k bytes leave no word part-used between them
-            draw = rng.integers(0, 2, bits + BITS_PER_SYMBOL * slots[-1].size, dtype=np.uint8)
+            # data then covert in one draw, equal to two: 4k bits leave no 32-bit half
+            # part-used between them
+            draw = _payload_bits(rng, bits + BITS_PER_SYMBOL * slots[-1].size)
             data.append(draw[:bits])
             covert.append(draw[bits:])
         else:

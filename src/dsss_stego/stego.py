@@ -64,13 +64,15 @@ class CodebookError(RuntimeError):
     """Greedy pattern construction could not reach 16 patterns."""
 
 
-def _colex(k: int, n: int):
-    """The k-subsets of range(n) as ascending tuples, in colexicographic order."""
-    if k == 0:
-        yield ()
-        return
-    for top in range(k - 1, n):
-        yield from (head + (top,) for head in _colex(k - 1, top))
+def _colex_masks(k: int, n: int):
+    """The k-subsets of range(n), 0 < k <= n, as bit masks in increasing order, which
+    is the subsets' colexicographic order; each next mask by Gosper's step."""
+    mask = (1 << k) - 1
+    while mask < 1 << n:
+        yield mask
+        low = mask & -mask
+        carried = mask + low
+        mask = carried | ((carried ^ mask) >> 2) // low
 
 
 @dataclass(frozen=True)
@@ -94,11 +96,14 @@ def build_codebook() -> StegoCodebook:
     Deterministic: the same 16 patterns come out on every run, and the
     first accepted pattern is always {0,1,2,3,4}.
     """
-    accepted: list[frozenset[int]] = []
+    accepted: list[int] = []
     # separation >= 6 between weight-5 sets is intersection <= 2
     max_overlap = PATTERN_WEIGHT - MIN_PATTERN_SEPARATION // 2
-    for cand in map(frozenset, _colex(PATTERN_WEIGHT, CHIPS_PER_SYMBOL)):
-        if all(len(cand & prev) <= max_overlap for prev in accepted):
+    for cand in _colex_masks(PATTERN_WEIGHT, CHIPS_PER_SYMBOL):
+        for prev in accepted:
+            if (cand & prev).bit_count() > max_overlap:
+                break
+        else:
             accepted.append(cand)
             if len(accepted) == CODEBOOK_SIZE:
                 break
@@ -106,7 +111,9 @@ def build_codebook() -> StegoCodebook:
         raise CodebookError(
             f"only {len(accepted)} patterns at separation {MIN_PATTERN_SEPARATION}"
         )
-    return StegoCodebook(tuple(tuple(sorted(p)) for p in accepted))
+    return StegoCodebook(
+        tuple(tuple(p for p in range(CHIPS_PER_SYMBOL) if m >> p & 1) for m in accepted)
+    )
 
 
 @dataclass(frozen=True)

@@ -45,12 +45,17 @@ PINS = {
 # More simulate reports, taken before run_simulation shared one keyed stream
 # between its encoder and decoder.  ``slots-cross-block`` was taken later,
 # while embed and extract still built their tables over all slots at once:
-# its 5330 covert slots span more than one 4096-word block.
+# its 5330 covert slots span more than one 4096-word block.  ``half-word-tail``
+# was taken while the random payload was one ``Generator.integers`` call; its
+# 4 * (6000 + 1759) payload bits end on half a 64-bit word, where those of
+# ``slots-cross-block`` (9000 + 5330) and ``report.sim-clean`` (1e5 + 0) end on
+# a whole one.
 REPORT_PINS = {
     "fixed-prefix": "137e288da1e84e0f4d35903c0436ed1fb77d6168c4e96da620d4f0faff03886f",
     "rate1-6dB": "ee1f54535a3a28afd7f485e82baec4ec8047fc7a2b277a00e078167cc0ddd1e0",
     "p-chip-0.2": "27cf9767eee0bc72b9f8d012367b3a0246bb0db950f9c7d2bce1a4e81d16ecd9",
     "slots-cross-block": "5e95da104f1d8665b0388968ef31eaaa039e27807565ddc4681abae95633b36e",
+    "half-word-tail": "18734c701e37f40d74acd901783e81a541400ad4352c6f471c7d087348d3dac0",
 }
 
 # The ``decode --diag-out`` sidecar of a noisy chip file, taken while each
@@ -151,6 +156,9 @@ def test_simulation_report_pinned(name, num_symbols, embed_rate):
             "slots-cross-block",
             dict(num_symbols=9000, channel=ChannelParams(0.05), embed_rate=0.6),
         ),
+        # 6000 symbols and 1759 slots: the random payload ends on half a 64-bit word
+        ("half-word-tail", dict(num_symbols=6000, channel=ChannelParams.from_snr_db(1.0),
+                                embed_rate=0.3)),
     ],
 )
 def test_more_simulation_reports_pinned(name, kwargs):

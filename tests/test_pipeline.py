@@ -3,7 +3,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dsss_stego import pipeline, stego
@@ -315,6 +315,28 @@ def test_config_validation():
         _config(stego_bits=np.ones(8, dtype=np.uint8))
 
 
+@pytest.mark.parametrize(
+    "name, value, message",
+    [
+        ("rng_seed", True, "rng_seed must be an integer, got True"),
+        ("num_symbols", True, "num_symbols must be an integer, got True"),
+        ("rng_seed", -1, "rng_seed must be >= 0, got -1"),
+        ("rng_seed", 1.5, "rng_seed must be an integer, got 1.5"),
+    ],
+    ids=["bool-seed", "bool-symbols", "negative-seed", "float-seed"],
+)
+def test_config_rejects_bools_and_malformed_seeds(name, value, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        _config(**{name: value})
+
+
+def test_config_takes_numpy_integers_as_ints():
+    config = _config(num_symbols=np.int32(40), rng_seed=np.uint64(2**63 + 5))
+    assert type(config.num_symbols) is int and type(config.rng_seed) is int
+    want = run_simulation(_config(num_symbols=40, rng_seed=2**63 + 5)).as_text()
+    assert run_simulation(config).as_text() == want
+
+
 def test_data_bits_make_a_fixed_payload_run():
     # given data_bits the run sends exactly that payload, covert bits included
     rng = np.random.default_rng(5)
@@ -380,6 +402,50 @@ def test_one_payload_draw_equals_the_data_and_covert_draws(seed, data_symbols, s
     assert np.array_equal(draw[:a], two.integers(0, 2, a, dtype=np.uint8))
     assert np.array_equal(draw[a:], two.integers(0, 2, b, dtype=np.uint8))
     assert np.array_equal(one.random(8), two.random(8))  # the generator is left as it was
+
+
+def _observed(rng):
+    """A generator's observable state: its buffered 32-bit half counts only while held."""
+    state = rng.bit_generator.state
+    return state["state"], state["has_uint32"], state["uinteger"] if state["has_uint32"] else None
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**64 - 1), st.integers(0, 25_000), st.booleans())
+@example(2011, 25_000, False)
+@example(2**63 + 5, 25_000, True)
+def test_payload_bits_equal_integers(seed, words, half):
+    # counts are multiples of 4 up to 2e5 that end on a whole 64-bit word or on half of one
+    count = 8 * words + 4 * half
+    want_rng, got_rng = make_rng(seed), make_rng(seed)
+    want = want_rng.integers(0, 2, count, dtype=np.uint8)
+    got = pipeline._payload_bits(got_rng, count)
+    assert got.dtype == np.uint8 and np.array_equal(got, want)
+    assert _observed(got_rng) == _observed(want_rng)
+    assert got_rng.random() == want_rng.random()
+
+
+def test_payload_bits_refuse_a_buffered_half():
+    # integers would serve the buffered half first; a payload draw comes from a fresh generator
+    rng = make_rng(7)
+    rng.integers(0, 2, 4, dtype=np.uint8)
+    with pytest.raises(AssertionError, match="buffered 32-bit half"):
+        pipeline._payload_bits(rng, 8)
+
+
+def test_random_payload_makes_no_bulk_integers_call(monkeypatch):
+    calls = []
+
+    class Counted(np.random.Generator):
+        def integers(self, *args, **kwargs):
+            calls.append(args)
+            return super().integers(*args, **kwargs)
+
+    config = _config(num_symbols=5001, channel=ChannelParams(0.05), embed_rate=0.5)
+    want = run_simulation(config).as_text()
+    monkeypatch.setattr(pipeline, "make_rng", lambda seed: Counted(np.random.PCG64(seed)))
+    assert run_simulation(config).as_text() == want
+    assert calls == []
 
 
 def test_simulations_share_key_and_length():

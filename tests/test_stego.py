@@ -52,9 +52,9 @@ def test_colex_walk_matches_enumeration_oracle():
     # independent oracle: enumerate all 5-subsets and sort colexicographically
     subs = sorted(combinations(range(32), 5), key=lambda s: s[::-1])  # largest element first
     assert len(subs) == math.comb(32, 5)
-    assert list(stego._colex(5, 32)) == subs
-    assert list(stego._colex(0, 3)) == [()]
-    assert list(stego._colex(2, 3)) == [(0, 1), (0, 2), (1, 2)]
+    assert list(stego._colex_masks(5, 32)) == [sum(1 << p for p in s) for s in subs]
+    assert list(stego._colex_masks(3, 3)) == [0b111]
+    assert list(stego._colex_masks(2, 3)) == [0b011, 0b101, 0b110]
 
 
 def test_codebook_construction():
@@ -238,19 +238,19 @@ def test_stretch_too_short_for_one_permutation_grows(monkeypatch):
     want, *want_states = permutation_stream(*states, np.arange(5))
     monkeypatch.setattr(stego, "BLOCK_WORDS", 1)
     monkeypatch.setattr(stego, "_MEAN_BITS", -400)
-    lfsr, walk, streams, walked = stego.lfsr_bits, stego._walk, [], []
+    stream_bytes, walk, streams, walked = stego._stream_bytes, stego._walk, [], []
 
-    def counted_lfsr(*args):
+    def counted_stream_bytes(*args):
         streams.append(args)
         assert len(streams) < 100, "the stretch never grows"
-        return lfsr(*args)
+        return stream_bytes(*args)
 
     def recorded_walk(*args):
         result = walk(*args)
         walked.append(result[0])
         return result
 
-    monkeypatch.setattr(stego, "lfsr_bits", counted_lfsr)
+    monkeypatch.setattr(stego, "_stream_bytes", counted_stream_bytes)
     monkeypatch.setattr(stego, "_walk", recorded_walk)
     got, *got_states = permutation_stream(*states, np.arange(5))
     assert walked[0] == 0
