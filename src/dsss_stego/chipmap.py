@@ -168,5 +168,5 @@ def map_symbol(symbol: int) -> ChipSequence:
 
 def decode_chips(received: ChipSequence) -> DecodeResult:
     """Despread by nearest code; ties go to the lowest symbol value."""
-    symbol = int(despread_stream(np.array([received.word], dtype=np.uint32))[0])
-    return DecodeResult(symbol, (received.word ^ int(_CODE_WORDS[symbol])).bit_count())
+    key = int(nearest(np.array([received.word], dtype=np.uint32), _CODE_WORDS)[0])
+    return DecodeResult(key & 0xF, key >> 4)

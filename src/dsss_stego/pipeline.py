@@ -9,7 +9,6 @@ bit-identical for identical configurations (seed included).
 
 from __future__ import annotations
 
-import operator
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from itertools import accumulate
@@ -18,7 +17,9 @@ import numpy as np
 
 from .channel import GENERATOR_ID, ChannelParams, make_rng, transmit_stream
 from .chipmap import BITS_PER_SYMBOL, BLOCK_WORDS, CHIPS_PER_SYMBOL, code_matrix, despread_stream
-from .stego import StegoKey, embed_words, embedding_schedule, extract_diffs, slot_permutations
+from .stego import (
+    StegoKey, _as_int, embed_words, embedding_schedule, extract_diffs, slot_permutations
+)
 
 # a byte's two symbols: packbits and this lookup group 1e5 symbols about 5x faster than a matmul
 _NIBBLES = np.array([[b >> 4, b & 0xF] for b in range(256)], dtype=np.uint8)
@@ -94,8 +95,8 @@ def encode_stream(
 @dataclass
 class DecodedStream:
     data_bits: np.ndarray
-    stego_bits: np.ndarray  # 4 bits per scheduled slot, stream order
-    slots: np.recarray  # one record per scheduled slot: symbol_index, exact, weight
+    stego_bits: np.ndarray  # 4 bits per slot read (perms' slots, else every scheduled one)
+    slots: np.recarray  # one record per slot read: symbol_index, exact, weight
 
 
 def decode_stream(
@@ -114,16 +115,6 @@ def decode_stream(
     stego_symbols, exact, weight = extract_diffs(diffs, slot_perms)
     slots = np.rec.fromarrays((slot_indices, exact, weight), dtype=_SLOT_DTYPE)
     return DecodedStream(data_bits, symbols_to_bits(stego_symbols), slots)
-
-
-def _as_int(name: str, value) -> int:
-    """An integer (numpy's too) as an int; ValueError for a bool or a non-integer."""
-    if not isinstance(value, (bool, np.bool_)):
-        try:
-            return operator.index(value)
-        except TypeError:
-            pass
-    raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -283,7 +274,7 @@ def _simulate(
     configs: Sequence[SimConfig], top_rate: float, top: SlotPerms, rows: dict[float, np.ndarray]
 ) -> list[SimReport]:
     """The configs' streams end to end through one encode_stream and one decode_stream.
-    Each pads its covert bits alone (encode_stream the last) and fills only its own slots."""
+    Each pads its covert bits to whole symbols; both calls read only the slots they fill."""
     key, n = configs[0].key, configs[0].num_symbols
     top_slots, top_perms = top
     bits = BITS_PER_SYMBOL * n
@@ -305,28 +296,26 @@ def _simulate(
             if data[-1].size != bits:
                 raise ValueError(f"fixed payload has {data[-1].size} bits, expected {bits}")
     filled = [_filled_slots(c, s) for c, s in zip(covert, slots)]
-    pads = [np.zeros(-c.size % BITS_PER_SYMBOL, np.uint8) for c in covert[:-1]]
-    payload = _joined([piece for pair in zip(covert, pads) for piece in pair] + covert[-1:])
-    fill = _joined(filled, n), _joined([rows[: f.size] for rows, f in zip(perms, filled)])
+    fill = _joined(filled, n), _joined([p[: f.size] for p, f in zip(perms, filled)])
+    # an unpadded payload joins as it is: a lone one stays the view of its draw
+    pads = [np.zeros(-c.size % BITS_PER_SYMBOL, np.uint8) for c in covert]
+    payload = _joined([np.concatenate((c, pad)) if pad.size else c for c, pad in zip(covert, pads)])
     words = encode_stream(sent_data := _joined(data), payload, key, top_rate, perms=fill)
     parts = zip(range(0, len(words), n), configs, rngs)
     sent = [transmit_stream(words[k : k + n], c.channel, rng) for k, c, rng in parts]
-    received = _joined([r for r, _ in sent])
-    decoded = decode_stream(received, key, top_rate, perms=(_joined(slots, n), _joined(perms)))
+    decoded = decode_stream(_joined([r for r, _ in sent]), key, top_rate, perms=fill)
     # error flags over the block; a symbol's 4 bits (0/1 bytes) read as one uint32
     wrong = (decoded.data_bits != sent_data).reshape(len(configs), bits)
     bit_errors = wrong.sum(axis=1).tolist()
     symbol_errors = (wrong.view(np.uint32) != 0).sum(axis=1).tolist()
-    # covert stats count a point's first size // 4 slots, whole 4-bit groups only: a
+    # the payload's bits are 0 or 1 (encode_stream checked them): as bytes, 4 to a slot
+    sent_covert = payload.astype(np.uint8, copy=False).view(np.uint32)
+    stego_wrong = decoded.stego_bits.view(np.uint32) != sent_covert
+    # covert stats count a point's first size // 4 filled slots, whole 4-bit groups only: a
     # zero-padded last group is embedded but not counted
     counted = [c.size // BITS_PER_SYMBOL for c in covert]
-    firsts = accumulate((s.size for s in slots), initial=0)
-    runs = [slice(f, f + m) for f, m in zip(firsts, counted)]  # in the decoded slots
-    got = decoded.stego_bits.view(np.uint32)  # a slot's 4 bits as one word
-    want = _joined([c[: BITS_PER_SYMBOL * m] for c, m in zip(covert, counted)])
-    want = want.astype(np.uint8, copy=False).view(np.uint32)
-    stego_wrong = _joined([got[r] for r in runs]) != want
-    edges = list(accumulate(counted, initial=0))  # the points' runs in stego_wrong
+    starts = accumulate((f.size for f in filled), initial=0)  # in the decoded slots
+    runs = [slice(k, k + m) for k, m in zip(starts, counted)]
     exact = decoded.slots["exact"]  # read once: a record array field read costs a few µs
     return [
         SimReport(
@@ -344,7 +333,7 @@ def _simulate(
             symbol_errors=symbol_errors[j],
             carrier_bit_errors=bit_errors[j],
             stego_symbols_sent=counted[j],
-            stego_symbol_errors=np.count_nonzero(stego_wrong[edges[j] : edges[j + 1]]),
+            stego_symbol_errors=np.count_nonzero(stego_wrong[runs[j]]),
             stego_exact_count=np.count_nonzero(exact[runs[j]]),
         )
         for j, config in enumerate(configs)

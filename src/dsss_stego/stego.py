@@ -77,13 +77,14 @@ def _colex_masks(k: int, n: int):
 
 @dataclass(frozen=True)
 class StegoCodebook:
-    """16 five-position flip patterns, indexed by covert symbol value."""
+    """16 five-position flip patterns, indexed by covert symbol value, as 32-bit position masks."""
 
-    patterns: tuple[tuple[int, ...], ...]
+    masks: tuple[int, ...]
 
-    def __post_init__(self):
-        # the patterns as 32-bit position masks
-        object.__setattr__(self, "masks", tuple(sum(1 << p for p in pat) for pat in self.patterns))
+    @property
+    def patterns(self) -> tuple[tuple[int, ...], ...]:
+        """Each mask's positions, ascending."""
+        return tuple(tuple(p for p in range(CHIPS_PER_SYMBOL) if m >> p & 1) for m in self.masks)
 
     def min_pairwise_distance(self) -> int:
         return min((a ^ b).bit_count() for i, a in enumerate(self.masks) for b in self.masks[:i])
@@ -111,9 +112,17 @@ def build_codebook() -> StegoCodebook:
         raise CodebookError(
             f"only {len(accepted)} patterns at separation {MIN_PATTERN_SEPARATION}"
         )
-    return StegoCodebook(
-        tuple(tuple(p for p in range(CHIPS_PER_SYMBOL) if m >> p & 1) for m in accepted)
-    )
+    return StegoCodebook(tuple(accepted))
+
+
+def _as_int(name: str, value) -> int:
+    """An integer (numpy's too) as an int; ValueError for a bool or a non-integer."""
+    if not isinstance(value, (bool, np.bool_)):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -123,6 +132,7 @@ class StegoKey:
     seed: int
 
     def __post_init__(self):
+        object.__setattr__(self, "seed", _as_int("seed", self.seed))
         if not 1 <= self.seed <= 0xFFFF:
             raise ValueError(f"key must be a nonzero 16-bit value, got {self.seed}")
 
@@ -186,12 +196,6 @@ def _stream_bytes(seed: int, taps: tuple[int, ...], size: int) -> bytes:
         spans.append(acc.to_bytes(4 + _SPAN // 8, "little")[: min(_SPAN // 8, size - start)])
         state = acc >> _SPAN
     return b"".join(spans)
-
-
-def lfsr_bits(seed: int, taps: tuple[int, ...], count: int) -> np.ndarray:
-    """First `count` output bits (uint8 0/1) of a register seeded with `seed` (_stream_bytes)."""
-    stream = _stream_bytes(seed, taps, -(-count // 8))
-    return np.unpackbits(np.frombuffer(stream, np.uint8), count=count, bitorder="little")
 
 
 def _state_at(stream: bytes, pos: int) -> int:

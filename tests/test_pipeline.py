@@ -370,7 +370,7 @@ def test_simulations_equal_one_run_each(n):
 
 def test_simulations_mix_random_and_fixed_payloads():
     # 1002 covert bits is short of the schedule and not a multiple of 4: each fixed
-    # payload fills only its own first slots, the first padded alone, the last by encode_stream
+    # payload fills only its own first slots, each padded alone
     rng = np.random.default_rng(11)
     data = [random_bits(rng, 4000) for _ in range(3)]
     covert = [random_bits(rng, 1002) for _ in range(2)]
@@ -385,6 +385,36 @@ def test_simulations_mix_random_and_fixed_payloads():
     assert [report.as_text() for report in reports] == _one_by_one(configs)
     random_slots = np.count_nonzero(embedding_schedule(KEY, 0.3, 1000))
     assert [report.stego_symbols_sent for report in reports] == [250, random_slots, 0, 250]
+
+
+def test_simulation_block_decodes_only_the_filled_slots(monkeypatch):
+    # fixed covert payloads short of their schedules, two of them not whole symbols: the
+    # block's one decode_stream call reads the slots they fill, the table encode_stream gets
+    tables = {"encode_stream": [], "decode_stream": []}
+    for name, seen in tables.items():
+        def spy(*args, perms, original=getattr(pipeline, name), seen=seen):
+            seen.append(perms)
+            return original(*args, perms=perms)
+        monkeypatch.setattr(pipeline, name, spy)
+    rng = np.random.default_rng(13)
+    n, rates, lengths = 300, (0.3, 1.0, 0.6, 1.0), (7, 0, 40, 1001)
+    configs = [
+        _config(num_symbols=n, channel=CHANNELS[k % 3], embed_rate=rate, rng_seed=20 + k,
+                data_bits=random_bits(rng, 4 * n), stego_bits=random_bits(rng, length))
+        for k, (rate, length) in enumerate(zip(rates, lengths))
+    ]
+    reports = run_simulations(configs)
+    filled = [np.nonzero(embedding_schedule(KEY, rate, n))[0][: -(-length // 4)]
+              for rate, length in zip(rates, lengths)]
+    want_slots = np.concatenate([f + j * n for j, f in enumerate(filled)])
+    want_perms = np.concatenate([pipeline.slot_permutations(KEY, f) for f in filled])
+    assert len(tables["decode_stream"]) == 1
+    for slots, perms in tables["encode_stream"] + tables["decode_stream"]:
+        assert slots.tolist() == want_slots.tolist()
+        assert (perms == want_perms).all()
+    assert [report.stego_symbols_sent for report in reports] == [m // 4 for m in lengths]
+    monkeypatch.undo()
+    assert [report.as_text() for report in reports] == _one_by_one(configs)
 
 
 def test_simulations_need_at_least_one_config():

@@ -2,6 +2,7 @@ import json
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -36,13 +37,13 @@ from dsss_stego.stego import (
     build_codebook,
     embed,
     embed_with_permutation,
+    embedding_schedule,
     extract,
     extract_with_permutation,
-    lfsr_bits,
     permutation_stream,
 )
 
-from test_golden import oracle_bits
+from test_golden import oracle_bits, stream_bits
 
 # df=31 chi-square critical value at the 1% significance level
 CHI2_CRIT_31_P99 = 52.1914
@@ -126,29 +127,29 @@ def test_taps_are_maximal_length(taps):
 
 def test_lfsr_state_never_zero():
     # the register state at stream position p is bits p..p+31
-    bits = lfsr_bits(0x0001, PRIMARY_TAPS, 100_000 + 32)
+    bits = stream_bits(0x0001, PRIMARY_TAPS, 100_000 + 32)
     ones = np.concatenate(([0], np.cumsum(bits, dtype=np.int64)))
     assert (ones[32:] - ones[:-32] > 0).all()
     with pytest.raises(ValueError):
-        lfsr_bits(0, PRIMARY_TAPS, 64)
+        stego._stream_bytes(0, PRIMARY_TAPS, 8)
 
 
 def test_lfsr_deterministic():
-    a = lfsr_bits(0xBEEF, PRIMARY_TAPS, 256)
-    b = lfsr_bits(0xBEEF, PRIMARY_TAPS, 256)
+    a = stream_bits(0xBEEF, PRIMARY_TAPS, 256)
+    b = stream_bits(0xBEEF, PRIMARY_TAPS, 256)
     assert (a == b).all()
 
 
 def test_lfsr_pair_keystream():
     def combined(seed_a, seed_b):
-        return lfsr_bits(seed_a, PRIMARY_TAPS, 1024) ^ lfsr_bits(seed_b, SECONDARY_TAPS, 1024)
+        return stream_bits(seed_a, PRIMARY_TAPS, 1024) ^ stream_bits(seed_b, SECONDARY_TAPS, 1024)
 
     words = combined(0xDEADBEEF, 0x12345678)
     assert (words == combined(0xDEADBEEF, 0x12345678)).all()
     _, a, b = permutation_stream(0xDEADBEEF, 0x12345678, np.arange(64))
     assert a != 0 and b != 0
     # combined stream differs from either component stream
-    assert (words != lfsr_bits(0xDEADBEEF, PRIMARY_TAPS, 1024)).any()
+    assert (words != stream_bits(0xDEADBEEF, PRIMARY_TAPS, 1024)).any()
     with pytest.raises(ValueError):
         permutation_stream(0, 1, np.arange(1))
 
@@ -191,7 +192,7 @@ def test_register_bits_exact_at_span_edges(seed, taps):
     counts = (_SPAN - 1, _SPAN, _SPAN + 32, 3 * _SPAN + 5)
     want = oracle_bits(seed, taps, max(counts))
     for count in counts:
-        assert lfsr_bits(seed, taps, count).tolist() == want[:count]
+        assert stream_bits(seed, taps, count).tolist() == want[:count]
 
 
 @pytest.mark.parametrize("taps", [PRIMARY_TAPS, SECONDARY_TAPS])
@@ -419,6 +420,24 @@ def test_key_hex_round_trip():
             StegoKey.from_hex(lax)
     with pytest.raises(ValueError):
         StegoKey(0)
+
+
+def test_key_takes_a_numpy_integer_as_an_int():
+    # kept as np.uint16, seed << 16 would wrap in the register seeds
+    key = StegoKey(np.uint16(7))
+    assert type(key.seed) is int and key == StegoKey(7)
+    assert (embedding_schedule(key, 0.5, 64) == embedding_schedule(StegoKey(7), 0.5, 64)).all()
+    assert KeySchedule(key).permutation(3) == KeySchedule(StegoKey(7)).permutation(3)
+
+
+def test_key_rejects_a_float():
+    with pytest.raises(ValueError, match=re.escape("seed must be an integer, got 1.5")):
+        StegoKey(1.5)
+
+
+def test_key_rejects_a_bool():
+    with pytest.raises(ValueError, match=re.escape("seed must be an integer, got True")):
+        StegoKey(True)
 
 
 def test_permutation_is_bijection_with_inverse():
