@@ -23,6 +23,9 @@ SYMBOL_VALUES = 1 << BITS_PER_SYMBOL
 # Words per block of every per-word table (channel draw, despread, embed and
 # extract), so working memory stays flat however long the stream is.
 BLOCK_WORDS = 1 << 12
+# byte value -> the byte with its bits reversed: a word's bytes so mapped hold chip 0 in
+# the first byte's MSB (chip files), and stream bytes so mapped read MSB first (stego)
+REVERSED_BITS = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
 
 # IEEE 802.15.4-2006, Table 73 (2450 MHz band), chip c0 first.  The values
 # are guarded by the pairwise-distance statistics test: any single-chip

@@ -16,14 +16,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .chipmap import CHIPS_PER_SYMBOL
+from .chipmap import CHIPS_PER_SYMBOL, REVERSED_BITS
 
 MAGIC = b"CHIP"
 VERSION = 1
 HEADER_SIZE = 13
 _BYTES_PER_SYMBOL = CHIPS_PER_SYMBOL // 8
-# byte value -> the byte with its bits reversed
-_REVERSED = np.packbits(np.unpackbits(np.arange(256, dtype=np.uint8)), bitorder="little")
+_REVERSED = np.frombuffer(REVERSED_BITS, np.uint8)
 
 
 class ChipStreamFormatError(ValueError):

@@ -253,21 +253,14 @@ def _joined(pieces: list[np.ndarray], step: int = 0) -> np.ndarray:
 
 def _payload_bits(rng: np.random.Generator, count: int) -> np.ndarray:
     """rng.integers(0, 2, count, dtype=np.uint8) for a count divisible by 4, and the same
-    generator state after it, read from PCG64's raw 64-bit words.
+    generator state after it, from count // 4 full-range 32-bit draws.
 
     A range-2 uint8 draw never rejects (its Lemire threshold is 0): each value is bit 7
-    of one byte of a 32-bit half, low half first, so of each little-endian byte of the
-    words.  An odd number of halves leaves the last word's high half buffered, as
-    integers does."""
-    bit_generator = rng.bit_generator
-    words = bit_generator.random_raw(-(-count // 8))
-    state = bit_generator.state
-    # integers would serve a buffered half first; a fresh make_rng generator has none
-    assert not state["has_uint32"], "the generator holds a buffered 32-bit half"
-    if count % 8:
-        bit_generator.state = {**state, "has_uint32": 1, "uinteger": int(words[-1]) >> 32}
-    bits = words.astype("<u8", copy=False).view(np.uint8)  # a copy only on big-endian hosts
-    return np.right_shift(bits, 7, out=bits)[:count]
+    of one byte of a 32-bit draw, low byte first, so of each little-endian byte of the
+    draws.  Both serve a buffered 32-bit half first, and leave one as the other does."""
+    draws = rng.integers(0, 1 << 32, count // 4, np.uint32)
+    bits = draws.astype("<u4", copy=False).view(np.uint8)  # a copy only on big-endian hosts
+    return np.right_shift(bits, 7, out=bits)
 
 
 def _simulate(
@@ -292,7 +285,8 @@ def _simulate(
             covert.append(draw[bits:])
         else:
             data.append(np.ravel(config.data_bits))
-            covert.append(np.ravel([] if config.stego_bits is None else config.stego_bits))
+            stego_bits = config.stego_bits  # None: no bits, as uint8 so a joined block stays uint8
+            covert.append(np.empty(0, np.uint8) if stego_bits is None else np.ravel(stego_bits))
             if data[-1].size != bits:
                 raise ValueError(f"fixed payload has {data[-1].size} bits, expected {bits}")
     filled = [_filled_slots(c, s) for c, s in zip(covert, slots)]

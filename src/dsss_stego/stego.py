@@ -38,7 +38,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .chipmap import BLOCK_WORDS, CHIPS_PER_SYMBOL, ChipSequence, code_matrix, decode_chips, nearest
+from .chipmap import (
+    BLOCK_WORDS, CHIPS_PER_SYMBOL, REVERSED_BITS, ChipSequence, code_matrix, decode_chips, nearest
+)
 
 PATTERN_WEIGHT = 5          # = floor((d_min - 1) / 2) for d_min = 12: the correction radius
 MIN_PATTERN_SEPARATION = 6  # symmetric-difference floor between patterns
@@ -203,8 +205,6 @@ def _state_at(stream: bytes, pos: int) -> int:
     return int.from_bytes(stream[pos >> 3 : (pos >> 3) + 5], "little") >> (pos & 7) & 0xFFFFFFFF
 
 
-# each byte's bits in the reverse order: a stream's bytes so translated read MSB first
-_REVERSED = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
 # Fisher-Yates swap i = 31..1 draws j <= i from the next w = i.bit_length() stream
 # bits, MSB first, and draws again while j > i (no modulo bias)
 _BOUNDS = tuple(range(CHIPS_PER_SYMBOL - 1, 0, -1))
@@ -337,7 +337,7 @@ def permutation_stream(state_a: int, state_b: int, rows: np.ndarray) -> tuple[np
         a = _stream_bytes(state_a, PRIMARY_TAPS, size + 4)
         b = _stream_bytes(state_b, SECONDARY_TAPS, size + 4)
         keystream = np.frombuffer(a, np.uint8) ^ np.frombuffer(b, np.uint8)
-        stream = keystream.tobytes().translate(_REVERSED)  # each byte read MSB first
+        stream = keystream.tobytes().translate(REVERSED_BITS)  # each byte read MSB first
         walked, pos, ends = _walk(stream[:size], todo)
         slack *= 1 if walked == todo else 2
         end = int(np.searchsorted(rows, done + walked))
@@ -365,7 +365,7 @@ def embedding_schedule(key: StegoKey, embed_rate: float, num_symbols: int) -> np
         return np.full(num_symbols, embed_rate == 1.0)
     stream = _stream_bytes(key_registers(key)[0], SECONDARY_TAPS, 2 * num_symbols)
     # d / 65536 < r as d < r * 65536: both are exact power-of-two scalings
-    return np.frombuffer(stream.translate(_REVERSED), ">u2") < embed_rate * 65536.0
+    return np.frombuffer(stream.translate(REVERSED_BITS), ">u2") < embed_rate * 65536.0
 
 
 def slot_permutations(key: StegoKey, slots: np.ndarray) -> np.ndarray:
@@ -404,6 +404,7 @@ class KeySchedule:
 
     def permutation(self, symbol_index: int) -> tuple[int, ...]:
         """Bijection on {0..31} for the given stream position."""
+        symbol_index = _as_int("symbol_index", symbol_index)
         if symbol_index < 0:
             raise ValueError(f"symbol_index must be >= 0, got {symbol_index}")
         if symbol_index < self._start:
@@ -462,37 +463,14 @@ def extract_diffs(
     return symbols, exact, weight
 
 
-def _as_batch(permutation: tuple[int, ...]) -> np.ndarray:
-    if sorted(permutation) != list(range(CHIPS_PER_SYMBOL)):
-        raise ValueError(f"not a permutation of range(32): {permutation}")
-    return np.array([permutation], dtype=np.uint8)
-
-
 class ExtractResult(NamedTuple):
     symbol: int
     exact: bool
     weight: int  # size of the observed diff set; 5 when cleanly embedded
 
 
-def embed_with_permutation(
-    carrier: ChipSequence,
-    stego_symbol: int,
-    permutation: tuple[int, ...],
-) -> ChipSequence:
-    """Flip the carrier chips at the permuted pattern positions."""
-    if not 0 <= stego_symbol < CODEBOOK_SIZE:
-        raise ValueError(f"stego symbol out of range: {stego_symbol}")
-    word = embed_words(
-        np.array([carrier.word], np.uint32), np.array([stego_symbol]), _as_batch(permutation)
-    )
-    return ChipSequence(int(word[0]))
-
-
 def embed(
-    carrier: ChipSequence,
-    stego_symbol: int,
-    schedule: KeySchedule,
-    symbol_index: int,
+    carrier: ChipSequence, stego_symbol: int, schedule: KeySchedule, symbol_index: int
 ) -> ChipSequence:
     """Embed a covert symbol into a standard spreading code.
 
@@ -501,32 +479,25 @@ def embed(
     other codes at distance >= 7).
     """
     if decode_chips(carrier).distance != 0:
-        raise InvalidCarrierError(
-            f"carrier {carrier.to_string()} is not a standard spreading code"
-        )
-    return embed_with_permutation(carrier, stego_symbol, schedule.permutation(symbol_index))
+        raise InvalidCarrierError(f"carrier {carrier.to_string()} is not a standard spreading code")
+    stego_symbol = _as_int("stego_symbol", stego_symbol)
+    if not 0 <= stego_symbol < CODEBOOK_SIZE:
+        raise ValueError(f"stego symbol out of range: {stego_symbol}")
+    perms = np.array([schedule.permutation(symbol_index)], np.uint8)
+    word = embed_words(np.array([carrier.word], np.uint32), np.array([stego_symbol]), perms)
+    return ChipSequence(int(word[0]))
 
 
-def extract_with_permutation(
-    received: ChipSequence,
-    permutation: tuple[int, ...],
-) -> ExtractResult:
+def extract(received: ChipSequence, schedule: KeySchedule, symbol_index: int) -> ExtractResult:
     """Read the covert symbol back from the received word's diff set.
 
     Despreads to the nearest standard code, reads the differing chips back
-    through the permutation and takes the codebook pattern at the least
+    through symbol_index's permutation and takes the codebook pattern at the least
     symmetric difference from them (ties to the lowest symbol).  Only the
     pattern itself, with no other chip, is exact; any other diff is a fallback
     with exact=False, so the covert channel degrades instead of erasing.
     """
     diff = received.word ^ int(code_matrix()[decode_chips(received).symbol])
-    symbol, exact, weight = extract_diffs(np.array([diff], np.uint32), _as_batch(permutation))
+    perms = np.array([schedule.permutation(symbol_index)], np.uint8)
+    symbol, exact, weight = extract_diffs(np.array([diff], np.uint32), perms)
     return ExtractResult(int(symbol[0]), bool(exact[0]), int(weight[0]))
-
-
-def extract(
-    received: ChipSequence,
-    schedule: KeySchedule,
-    symbol_index: int,
-) -> ExtractResult:
-    return extract_with_permutation(received, schedule.permutation(symbol_index))

@@ -441,13 +441,17 @@ def _observed(rng):
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.integers(0, 2**64 - 1), st.integers(0, 25_000), st.booleans())
-@example(2011, 25_000, False)
-@example(2**63 + 5, 25_000, True)
-def test_payload_bits_equal_integers(seed, words, half):
+@given(st.integers(0, 2**64 - 1), st.integers(0, 25_000), st.booleans(), st.booleans())
+@example(2011, 25_000, False, False)
+@example(2**63 + 5, 25_000, True, False)
+@example(2**63 + 5, 25_000, True, True)
+def test_payload_bits_equal_integers(seed, words, half, held):
     # counts are multiples of 4 up to 2e5 that end on a whole 64-bit word or on half of one
     count = 8 * words + 4 * half
     want_rng, got_rng = make_rng(seed), make_rng(seed)
+    if held:  # both enter holding a buffered 32-bit half
+        for rng in (want_rng, got_rng):
+            rng.integers(0, 1 << 32, dtype=np.uint32)
     want = want_rng.integers(0, 2, count, dtype=np.uint8)
     got = pipeline._payload_bits(got_rng, count)
     assert got.dtype == np.uint8 and np.array_equal(got, want)
@@ -455,15 +459,8 @@ def test_payload_bits_equal_integers(seed, words, half):
     assert got_rng.random() == want_rng.random()
 
 
-def test_payload_bits_refuse_a_buffered_half():
-    # integers would serve the buffered half first; a payload draw comes from a fresh generator
-    rng = make_rng(7)
-    rng.integers(0, 2, 4, dtype=np.uint8)
-    with pytest.raises(AssertionError, match="buffered 32-bit half"):
-        pipeline._payload_bits(rng, 8)
-
-
 def test_random_payload_makes_no_bulk_integers_call(monkeypatch):
+    # a random payload is one full-range 32-bit draw a config, not a range-2 draw of its bits
     calls = []
 
     class Counted(np.random.Generator):
@@ -471,11 +468,30 @@ def test_random_payload_makes_no_bulk_integers_call(monkeypatch):
             calls.append(args)
             return super().integers(*args, **kwargs)
 
-    config = _config(num_symbols=5001, channel=ChannelParams(0.05), embed_rate=0.5)
-    want = run_simulation(config).as_text()
+    configs = [_config(num_symbols=5001, channel=ChannelParams(0.05), embed_rate=rate, rng_seed=k)
+               for k, rate in enumerate((0.5, 0.0, 1.0))]
+    want = [report.as_text() for report in run_simulations(configs)]
     monkeypatch.setattr(pipeline, "make_rng", lambda seed: Counted(np.random.PCG64(seed)))
-    assert run_simulation(config).as_text() == want
-    assert calls == []
+    assert [report.as_text() for report in run_simulations(configs)] == want
+    assert len(calls) == len(configs)
+    assert all(args[:2] == (0, 1 << 32) for args in calls)
+
+
+def test_mixed_block_hands_encode_a_uint8_payload(monkeypatch):
+    # a fixed config without covert bits joins a random draw's covert bits: still a byte a bit
+    payloads = []
+
+    def spy(data_bits, stego_bits, *args, original=pipeline.encode_stream, **kwargs):
+        payloads.append(stego_bits)
+        return original(data_bits, stego_bits, *args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "encode_stream", spy)
+    configs = [_config(embed_rate=0.5), _config(embed_rate=0.5, data_bits=np.ones(4000, np.uint8))]
+    reports = run_simulations(configs)
+    assert len(payloads) == 1 and payloads[0].dtype == np.uint8
+    assert payloads[0].size == 4 * np.count_nonzero(embedding_schedule(KEY, 0.5, 1000))
+    monkeypatch.undo()
+    assert [report.as_text() for report in reports] == _one_by_one(configs)
 
 
 def test_simulations_share_key_and_length():

@@ -36,10 +36,9 @@ from dsss_stego.stego import (
     _SPAN,
     build_codebook,
     embed,
-    embed_with_permutation,
+    embed_words,
     embedding_schedule,
     extract,
-    extract_with_permutation,
     permutation_stream,
 )
 
@@ -482,18 +481,9 @@ def test_permutation_position_image_uniform():
 # -- embed / extract ---------------------------------------------------------
 
 def test_embed_identity_permutation_flips_base_pattern():
-    identity = tuple(range(32))
-    out = embed_with_permutation(map_symbol(0), 0, identity)
-    assert out == map_symbol(0).flip([0, 1, 2, 3, 4])
-
-
-@pytest.mark.parametrize("bad", [(0,) * 32, tuple(range(31)), tuple(range(1, 33))])
-def test_scalar_calls_reject_a_non_permutation(bad):
-    # a repeated position would flip fewer than 5 chips and read back as exact
-    with pytest.raises(ValueError, match="not a permutation"):
-        embed_with_permutation(map_symbol(0), 3, bad)
-    with pytest.raises(ValueError, match="not a permutation"):
-        extract_with_permutation(map_symbol(0).flip([0, 1, 2, 3, 4]), bad)
+    identity = np.arange(32, dtype=np.uint8)[None]
+    out = embed_words(np.array([map_symbol(0).word], np.uint32), np.array([0]), identity)
+    assert ChipSequence(int(out[0])) == map_symbol(0).flip([0, 1, 2, 3, 4])
 
 
 def test_embed_weight_is_five_for_all_pairs():
@@ -510,8 +500,31 @@ def test_embed_rejects_non_standard_carrier():
     bad = map_symbol(0).flip([0])
     with pytest.raises(InvalidCarrierError):
         embed(bad, 0, sched, 0)
-    with pytest.raises(ValueError):
-        embed(map_symbol(0), 16, sched, 0)
+    for symbol in (16, -1):
+        with pytest.raises(ValueError, match=f"stego symbol out of range: {symbol}"):
+            embed(map_symbol(0), symbol, sched, 0)
+
+
+@pytest.mark.parametrize("value", [1.5, True, np.bool_(False), "3"])
+def test_scalar_calls_reject_non_integer_arguments(value):
+    # a float or a bool used to reach numpy as an index: an IndexError, or a boolean mask
+    sched = KeySchedule(StegoKey.from_hex("ACE1"))
+    with pytest.raises(ValueError, match="stego_symbol must be an integer"):
+        embed(map_symbol(0), value, sched, 0)
+    with pytest.raises(ValueError, match="symbol_index must be an integer"):
+        embed(map_symbol(0), 3, sched, value)
+    with pytest.raises(ValueError, match="symbol_index must be an integer"):
+        extract(map_symbol(0), sched, value)
+    with pytest.raises(ValueError, match="symbol_index must be an integer"):
+        sched.permutation(value)
+
+
+def test_scalar_calls_take_numpy_integers():
+    sched = KeySchedule(StegoKey.from_hex("ACE1"))
+    out = embed(map_symbol(2), np.uint8(9), sched, np.int64(40))
+    assert out == embed(map_symbol(2), 9, sched, 40)
+    assert extract(out, sched, np.uint16(40)) == (9, True, 5)
+    assert sched.permutation(np.int32(40)) == sched.permutation(40)
 
 
 def test_carrier_still_decodes_after_embedding():
@@ -574,7 +587,7 @@ def test_extraction_matches_scalar_oracle():
         perm = sched.permutation(i)
         want = oracle_extract(word, perm)
         assert (symbols[i], decoded.slots[i].exact, decoded.slots[i].weight) == want
-        assert extract_with_permutation(ChipSequence(word), perm) == want
+        assert extract(ChipSequence(word), sched, i) == want
 
 
 def test_extract_survives_one_extra_flip():
@@ -602,9 +615,8 @@ def test_flip_positions_uniform_over_random_keys():
     for _ in range(20):
         sched = KeySchedule(StegoKey(rnd.randrange(1, 65536)))
         for i in range(n_symbols // 20):
-            perm = sched.permutation(i)
             carrier = map_symbol(rnd.randrange(16))
-            out = embed_with_permutation(carrier, rnd.randrange(16), perm)
+            out = embed(carrier, rnd.randrange(16), sched, i)
             for p, flipped in enumerate(ChipSequence(carrier.word ^ out.word).chips):
                 counts[p] += flipped
     expected = n_symbols * 5 / 32
