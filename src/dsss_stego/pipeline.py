@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from itertools import accumulate
 
 import numpy as np
 
@@ -48,14 +47,17 @@ def symbols_to_bits(symbols: np.ndarray) -> np.ndarray:
     return _BITS.take(symbols, axis=0).reshape(-1)
 
 
-def _filled_slots(stego_bits: np.ndarray, slots: np.ndarray) -> np.ndarray:
-    """The slots covert bits fill, 4 bits a slot in stream order; CapacityError past the last."""
+def _framed(stego_bits: np.ndarray, slots: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The slots covert bits fill, 4 bits a slot in stream order, and the bits zero-padded
+    to whole slots (an unpadded payload as it is, uncopied); CapacityError past the last."""
     if stego_bits.size > BITS_PER_SYMBOL * slots.size:
         raise CapacityError(
             f"stego payload is {stego_bits.size} bits but the schedule "
             f"provides {BITS_PER_SYMBOL * slots.size} bits"
         )
-    return slots[: -(-stego_bits.size // BITS_PER_SYMBOL)]
+    if pad := -stego_bits.size % BITS_PER_SYMBOL:
+        stego_bits = np.concatenate((stego_bits, np.zeros(pad, np.uint8)))
+    return slots[: stego_bits.size // BITS_PER_SYMBOL], stego_bits
 
 
 def encode_stream(
@@ -79,12 +81,10 @@ def encode_stream(
     if perms is None:
         perms = np.nonzero(embedding_schedule(key, embed_rate, symbols.size))[0], None
     slots, slot_perms = perms
-    stego_bits = np.asarray(stego_bits)
-    rows = _filled_slots(stego_bits, slots)
-    if stego_bits.size == 0:
+    rows, stego_bits = _framed(np.ravel(stego_bits), slots)
+    if rows.size == 0:
         return words
-    padding = np.zeros(-stego_bits.size % BITS_PER_SYMBOL, dtype=np.uint8)
-    stego_symbols = bits_to_symbols(np.concatenate((stego_bits.reshape(-1), padding)))
+    stego_symbols = bits_to_symbols(stego_bits)
     if slot_perms is not None and len(slot_perms) < rows.size:
         raise ValueError(f"perms has {len(slot_perms)} rows, the payload needs {rows.size}")
     row_perms = slot_permutations(key, rows) if slot_perms is None else slot_perms[: rows.size]
@@ -244,11 +244,9 @@ def run_simulations(configs: Sequence[SimConfig]) -> list[SimReport]:
     return [r for k in blocks for r in _simulate(configs[k : k + step], rate, top, rows)]
 
 
-def _joined(pieces: list[np.ndarray], step: int = 0) -> np.ndarray:
-    """The pieces end to end, piece j raised by j * step; a lone piece as it is, uncopied."""
-    if len(pieces) == 1:
-        return pieces[0]
-    return np.concatenate([piece + j * step for j, piece in enumerate(pieces)] if step else pieces)
+def _joined(pieces: list[np.ndarray]) -> np.ndarray:
+    """The pieces end to end; a lone piece as it is, uncopied."""
+    return pieces[0] if len(pieces) == 1 else np.concatenate(pieces)
 
 
 def _payload_bits(rng: np.random.Generator, count: int) -> np.ndarray:
@@ -271,30 +269,32 @@ def _simulate(
     key, n = configs[0].key, configs[0].num_symbols
     top_slots, top_perms = top
     bits = BITS_PER_SYMBOL * n
-    rngs, slots, perms, data, covert = [], [], [], [], []
-    for config in configs:
+    rngs, data, covert, slots, perms, runs, start = [], [], [], [], [], [], 0
+    for j, config in enumerate(configs):
         index = rows.get(config.embed_rate, slice(None))  # a whole slice: views, not copies
-        slots.append(top_slots[index])
-        perms.append(top_perms[index])
+        scheduled = top_slots[index]
         rngs.append(rng := make_rng(config.rng_seed))
         if config.data_bits is None:
-            # data then covert in one draw, equal to two: 4k bits leave no 32-bit half
-            # part-used between them
-            draw = _payload_bits(rng, bits + BITS_PER_SYMBOL * slots[-1].size)
+            # data then covert in one draw, equal to two: 4k bits leave no 32-bit half part-used
+            draw = _payload_bits(rng, bits + BITS_PER_SYMBOL * scheduled.size)
             data.append(draw[:bits])
-            covert.append(draw[bits:])
+            stego_bits = draw[bits:]
         else:
             data.append(np.ravel(config.data_bits))
-            stego_bits = config.stego_bits  # None: no bits, as uint8 so a joined block stays uint8
-            covert.append(np.empty(0, np.uint8) if stego_bits is None else np.ravel(stego_bits))
             if data[-1].size != bits:
                 raise ValueError(f"fixed payload has {data[-1].size} bits, expected {bits}")
-    filled = [_filled_slots(c, s) for c, s in zip(covert, slots)]
-    fill = _joined(filled, n), _joined([p[: f.size] for p, f in zip(perms, filled)])
-    # an unpadded payload joins as it is: a lone one stays the view of its draw
-    pads = [np.zeros(-c.size % BITS_PER_SYMBOL, np.uint8) for c in covert]
-    payload = _joined([np.concatenate((c, pad)) if pad.size else c for c, pad in zip(covert, pads)])
-    words = encode_stream(sent_data := _joined(data), payload, key, top_rate, perms=fill)
+            stego_bits = np.ravel(config.stego_bits if config.stego_bits is not None else
+                                  np.empty(0, np.uint8))  # None: no bits, as uint8 like a draw
+        filled, framed = _framed(stego_bits, scheduled)
+        covert.append(framed)
+        slots.append(filled + j * n if j else filled)  # the block's stream offsets
+        perms.append(top_perms[index][: filled.size])
+        # covert stats count whole 4-bit groups only: a zero-padded last one is not counted
+        runs.append(slice(start, start + stego_bits.size // BITS_PER_SYMBOL))
+        start += filled.size
+    fill = _joined(slots), _joined(perms)
+    sent_data, payload = _joined(data), _joined(covert)
+    words = encode_stream(sent_data, payload, key, top_rate, perms=fill)
     parts = zip(range(0, len(words), n), configs, rngs)
     sent = [transmit_stream(words[k : k + n], c.channel, rng) for k, c, rng in parts]
     decoded = decode_stream(_joined([r for r, _ in sent]), key, top_rate, perms=fill)
@@ -305,11 +305,6 @@ def _simulate(
     # the payload's bits are 0 or 1 (encode_stream checked them): as bytes, 4 to a slot
     sent_covert = payload.astype(np.uint8, copy=False).view(np.uint32)
     stego_wrong = decoded.stego_bits.view(np.uint32) != sent_covert
-    # covert stats count a point's first size // 4 filled slots, whole 4-bit groups only: a
-    # zero-padded last group is embedded but not counted
-    counted = [c.size // BITS_PER_SYMBOL for c in covert]
-    starts = accumulate((f.size for f in filled), initial=0)  # in the decoded slots
-    runs = [slice(k, k + m) for k, m in zip(starts, counted)]
     exact = decoded.slots["exact"]  # read once: a record array field read costs a few µs
     return [
         SimReport(
@@ -326,7 +321,7 @@ def _simulate(
             symbols_sent=n,
             symbol_errors=symbol_errors[j],
             carrier_bit_errors=bit_errors[j],
-            stego_symbols_sent=counted[j],
+            stego_symbols_sent=runs[j].stop - runs[j].start,
             stego_symbol_errors=np.count_nonzero(stego_wrong[runs[j]]),
             stego_exact_count=np.count_nonzero(exact[runs[j]]),
         )

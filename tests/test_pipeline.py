@@ -138,6 +138,24 @@ def test_decode_clean_stream_with_expectant_schedule():
     assert not decoded.stego_bits.any()
 
 
+def test_framed_pads_only_a_partial_last_slot():
+    # covert bits fill slots 4 at a time; only a payload short of a whole slot is copied
+    slots = np.arange(10, 30, 2)  # 10 slots, 40 bits
+    for length in (8, 40):
+        bits = np.ones(length, np.uint8)
+        filled, framed = pipeline._framed(bits, slots)
+        assert filled.tolist() == slots[: length // 4].tolist()
+        assert np.shares_memory(framed, bits) and framed.size == length
+    for length in (0, 1, 6, 39):
+        bits = np.ones(length, np.uint8)
+        filled, framed = pipeline._framed(bits, slots)
+        assert filled.tolist() == slots[: -(-length // 4)].tolist()
+        assert framed.dtype == np.uint8 and framed.size == 4 * filled.size
+        assert framed[:length].all() and not framed[length:].any()
+    with pytest.raises(CapacityError, match="41 bits but the schedule provides 40 bits"):
+        pipeline._framed(np.ones(41, np.uint8), slots)
+
+
 # -- one keyed stream per transmission ------------------------------------------
 
 def _count_calls(monkeypatch, module, name):
