@@ -22,7 +22,6 @@ MAGIC = b"CHIP"
 VERSION = 1
 HEADER_SIZE = 13
 _BYTES_PER_SYMBOL = CHIPS_PER_SYMBOL // 8
-_REVERSED = np.frombuffer(REVERSED_BITS, np.uint8)
 
 
 class ChipStreamFormatError(ValueError):
@@ -41,7 +40,7 @@ def write_chip_stream(path: str | Path, words: np.ndarray) -> None:
     header = MAGIC + bytes([VERSION]) + struct.pack("<Q", words.size)
     with Path(path).open("wb") as out:
         out.write(header)
-        out.write(_REVERSED[np.ascontiguousarray(words, "<u4").view(np.uint8)])
+        out.write(words.astype("<u4", copy=False).tobytes().translate(REVERSED_BITS))
 
 
 def read_chip_stream(path: str | Path) -> np.ndarray:
@@ -66,5 +65,5 @@ def read_chip_stream(path: str | Path) -> np.ndarray:
         raise ChipStreamFormatError(
             f"{size - expected} trailing bytes after chip payload", HEADER_SIZE + expected
         )
-    words = _REVERSED[np.frombuffer(raw, np.uint8, offset=HEADER_SIZE)].view("<u4")
-    return words.astype(np.uint32, copy=False)
+    raw = raw.translate(REVERSED_BITS)  # rebound, so the file's bytes are let go before the copy
+    return np.frombuffer(raw, "<u4", offset=HEADER_SIZE).astype(np.uint32)  # aligned, writable

@@ -31,14 +31,20 @@ class CapacityError(ValueError):
     """Covert payload exceeds what the embedding schedule can carry."""
 
 
+def _as_bits(name: str, bits) -> np.ndarray:
+    """The bits as a flat uint8 array, checked before they are narrowed: each 0 or 1."""
+    bits = np.ravel(bits)
+    if np.count_nonzero(bits) != np.count_nonzero(bits == 1):  # a nonzero bit other than 1
+        raise ValueError(f"{name} must be 0 or 1")
+    return bits.astype(np.uint8, copy=False)
+
+
 def bits_to_symbols(bits: np.ndarray) -> np.ndarray:
     """Group bits 4 at a time into symbol values, first bit as the MSB."""
-    bits = np.asarray(bits)
+    bits = _as_bits("bits", bits)
     if bits.size % BITS_PER_SYMBOL:
         raise ValueError(f"bit count must be divisible by 4, got {bits.size}")
-    if np.count_nonzero(bits) != np.count_nonzero(bits == 1):  # a nonzero bit other than 1
-        raise ValueError("bits must be 0 or 1")
-    packed = np.packbits(bits.astype(np.uint8, copy=False))  # 2 symbols a byte, high nibble first
+    packed = np.packbits(bits)  # 2 symbols a byte, high nibble first
     return _NIBBLES.take(packed, axis=0).reshape(-1)[: bits.size // BITS_PER_SYMBOL]
 
 
@@ -140,6 +146,11 @@ class SimConfig:
             raise ValueError(f"embed_rate must be in [0, 1], got {self.embed_rate}")
         if self.stego_bits is not None and self.data_bits is None:
             raise ValueError("stego_bits needs data_bits: a random payload draws its own")
+        if self.data_bits is not None:  # given bits are kept flat as uint8; no stego_bits: none
+            for name, bits in (("data_bits", self.data_bits), ("stego_bits", self.stego_bits)):
+                object.__setattr__(self, name, _as_bits(name, () if bits is None else bits))
+            if (size := self.data_bits.size) != (want := BITS_PER_SYMBOL * self.num_symbols):
+                raise ValueError(f"data_bits has {size} bits, expected {want}")
 
 
 @dataclass(frozen=True)
@@ -274,17 +285,12 @@ def _simulate(
         index = rows.get(config.embed_rate, slice(None))  # a whole slice: views, not copies
         scheduled = top_slots[index]
         rngs.append(rng := make_rng(config.rng_seed))
-        if config.data_bits is None:
+        data_bits, stego_bits = config.data_bits, config.stego_bits
+        if data_bits is None:
             # data then covert in one draw, equal to two: 4k bits leave no 32-bit half part-used
             draw = _payload_bits(rng, bits + BITS_PER_SYMBOL * scheduled.size)
-            data.append(draw[:bits])
-            stego_bits = draw[bits:]
-        else:
-            data.append(np.ravel(config.data_bits))
-            if data[-1].size != bits:
-                raise ValueError(f"fixed payload has {data[-1].size} bits, expected {bits}")
-            stego_bits = np.ravel(config.stego_bits if config.stego_bits is not None else
-                                  np.empty(0, np.uint8))  # None: no bits, as uint8 like a draw
+            data_bits, stego_bits = draw[:bits], draw[bits:]
+        data.append(data_bits)
         filled, framed = _framed(stego_bits, scheduled)
         covert.append(framed)
         slots.append(filled + j * n if j else filled)  # the block's stream offsets
@@ -302,9 +308,8 @@ def _simulate(
     wrong = (decoded.data_bits != sent_data).reshape(len(configs), bits)
     bit_errors = wrong.sum(axis=1).tolist()
     symbol_errors = (wrong.view(np.uint32) != 0).sum(axis=1).tolist()
-    # the payload's bits are 0 or 1 (encode_stream checked them): as bytes, 4 to a slot
-    sent_covert = payload.astype(np.uint8, copy=False).view(np.uint32)
-    stego_wrong = decoded.stego_bits.view(np.uint32) != sent_covert
+    # the payload's 0/1 bytes, 4 to a slot, read as one uint32 a slot
+    stego_wrong = decoded.stego_bits.view(np.uint32) != payload.view(np.uint32)
     exact = decoded.slots["exact"]  # read once: a record array field read costs a few µs
     return [
         SimReport(

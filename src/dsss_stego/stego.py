@@ -370,8 +370,6 @@ def embedding_schedule(key: StegoKey, embed_rate: float, num_symbols: int) -> np
 
 def slot_permutations(key: StegoKey, slots: np.ndarray) -> np.ndarray:
     """Keyed permutations of ascending stream slots, one (32,) row each."""
-    if slots.size == 0:
-        return np.zeros((0, CHIPS_PER_SYMBOL), dtype=np.uint8)
     return permutation_stream(*key_registers(key), slots)[0]
 
 

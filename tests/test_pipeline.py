@@ -175,8 +175,10 @@ def test_simulation_derives_schedule_and_permutations_once(monkeypatch):
     schedules = _count_calls(monkeypatch, pipeline, "embedding_schedule")
     run_simulation(_config(num_symbols=500, channel=ChannelParams(0.05), embed_rate=0.5))
     assert (len(streams), len(schedules)) == (1, 1)
+    keystreams = _count_calls(monkeypatch, stego, "_stream_bytes")
     run_simulation(_config(num_symbols=500, embed_rate=0.0))
-    assert len(streams) == 1
+    # a rate-0 run asks for no rows and makes no keystream byte, for schedule or permutations
+    assert len(streams) == 2 and streams[1][-1].size == 0 and not keystreams
 
 
 def test_simulation_groups_bits_into_symbols_only_to_encode(monkeypatch):
@@ -355,6 +357,22 @@ def test_config_takes_numpy_integers_as_ints():
     assert run_simulation(config).as_text() == want
 
 
+def test_config_checks_and_narrows_a_fixed_payload():
+    # each bit is checked 0 or 1 before it is narrowed: 256 would wrap to 0, 0.5 to 0
+    with pytest.raises(ValueError, match="data_bits has 3999 bits, expected 4000"):
+        _config(data_bits=np.zeros(3999, np.uint8))
+    for bad in ([2], [0.5], [256]):
+        with pytest.raises(ValueError, match="stego_bits must be 0 or 1"):
+            _config(data_bits=np.zeros(4000, np.uint8), stego_bits=bad)
+    with pytest.raises(ValueError, match="data_bits must be 0 or 1"):
+        _config(data_bits=[256] + [0] * 3999)
+    config = _config(data_bits=[[0, 1]] * 2000, stego_bits=[[1], [0]])
+    assert config.data_bits.dtype == np.uint8 and config.data_bits.tolist() == [0, 1] * 2000
+    assert config.stego_bits.dtype == np.uint8 and config.stego_bits.tolist() == [1, 0]
+    empty = _config(data_bits=np.zeros(4000, np.uint8)).stego_bits
+    assert empty.dtype == np.uint8 and empty.shape == (0,)
+
+
 def test_data_bits_make_a_fixed_payload_run():
     # given data_bits the run sends exactly that payload, covert bits included
     rng = np.random.default_rng(5)
@@ -510,6 +528,27 @@ def test_mixed_block_hands_encode_a_uint8_payload(monkeypatch):
     assert payloads[0].size == 4 * np.count_nonzero(embedding_schedule(KEY, 0.5, 1000))
     monkeypatch.undo()
     assert [report.as_text() for report in reports] == _one_by_one(configs)
+
+
+def test_list_payload_block_hands_encode_uint8_bits(monkeypatch):
+    # a list payload next to a random draw: data and covert bits stay a byte a bit
+    seen = []
+
+    def spy(data_bits, stego_bits, *args, original=pipeline.encode_stream, **kwargs):
+        seen.append((data_bits.dtype, stego_bits.dtype))
+        return original(data_bits, stego_bits, *args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "encode_stream", spy)
+    rng = np.random.default_rng(17)
+    data, covert = random_bits(rng, 4000), random_bits(rng, 30)
+    configs = [_config(embed_rate=0.5),
+               _config(embed_rate=0.5, data_bits=data.tolist(), stego_bits=covert.tolist())]
+    reports = [report.as_text() for report in run_simulations(configs)]
+    assert seen == [(np.uint8, np.uint8)]
+    monkeypatch.undo()
+    assert reports == _one_by_one(configs)
+    arrays = [configs[0], _config(embed_rate=0.5, data_bits=data, stego_bits=covert)]
+    assert reports == [report.as_text() for report in run_simulations(arrays)]
 
 
 def test_simulations_share_key_and_length():
