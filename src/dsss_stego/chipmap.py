@@ -128,6 +128,21 @@ def code_set_stats() -> CodeSetStats:
 _CODE_WORDS = np.array([c.word for c in standard_code_set()], dtype=np.uint32)
 _CODE_WORDS.setflags(write=False)
 _CANDIDATE_INDEX = np.arange(SYMBOL_VALUES, dtype=np.uint16)[:, None]  # the low 4 bits of a key
+# Codes are at least d_min chips apart, so a word within this many chips of a code has that
+# code as its only nearest, with no tie: bounded-distance decoding.
+CORRECTION_RADIUS = (code_set_stats().d_min - 1) // 2
+GUESS_WORDS = 4 * BLOCK_WORDS  # words a guessed chunk; a shorter stream or a tail is searched
+_KEY_SHIFT = CHIPS_PER_SYMBOL - 16  # a word's top 16 chips key its guess
+
+
+@functools.cache
+def _guesses() -> np.ndarray:
+    """(65536,) uint8: each top-16-chip key's nearest code, 1024 keys a call (small transients)."""
+    tops, piece = _CODE_WORDS >> _KEY_SHIFT, np.arange(1024, dtype=np.uint32)
+    guesses = np.empty(1 << 16, dtype=np.uint8)
+    for start in range(0, guesses.size, piece.size):
+        guesses[start : start + piece.size] = nearest(piece + start, tops) & 0xF
+    return guesses
 
 
 def code_matrix() -> np.ndarray:
@@ -154,9 +169,21 @@ def nearest(words: np.ndarray, table: np.ndarray) -> np.ndarray:
 
 
 def despread_stream(words: np.ndarray) -> np.ndarray:
-    """Nearest-code symbol per word, ties to the lowest symbol, a block of words at a time."""
+    """Nearest-code symbol per word, ties to the lowest; a whole chunk keeps each word's guess
+    from its top chips if within CORRECTION_RADIUS of it and searches the rest, in blocks."""
     out = np.empty(len(words), dtype=np.uint8)
-    for start in range(0, len(words), BLOCK_WORDS):
+    guessed = len(words) - len(words) % GUESS_WORDS
+    for start in range(0, guessed, GUESS_WORDS):
+        chunk = words[start : start + GUESS_WORDS]
+        out[start : start + GUESS_WORDS] = guess = _guesses().take(chunk >> _KEY_SHIFT)
+        far = np.flatnonzero(np.bitwise_count(chunk ^ _CODE_WORDS.take(guess)) > CORRECTION_RADIUS)
+        if far.size > GUESS_WORDS * 3 // 4:  # a noisy stream: the rest is faster searched in place
+            guessed = start
+            break
+        for k in range(0, far.size, BLOCK_WORDS):
+            piece = far[k : k + BLOCK_WORDS] + start
+            out[piece] = nearest(words[piece], _CODE_WORDS) & 0xF
+    for start in range(guessed, len(words), BLOCK_WORDS):
         block = slice(start, start + BLOCK_WORDS)
         out[block] = nearest(words[block], _CODE_WORDS) & 0xF
     return out

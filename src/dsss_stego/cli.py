@@ -205,8 +205,10 @@ def _cmd_decode(args) -> int:
         with open(args.diag_out, "w") as out:  # a block of rows a write, never the whole CSV
             out.write("slot_index,exact,diff_weight\n")
             for start in range(0, len(decoded.slots), BLOCK_WORDS):
-                rows = decoded.slots[start : start + BLOCK_WORDS].tolist()
-                out.write("".join(["%d,%d,%d\n" % row for row in rows]))  # index, exact, weight
+                block = decoded.slots[start : start + BLOCK_WORDS]
+                columns = [block[name] for name in block.dtype.names]  # index, exact, weight
+                cells = np.column_stack(columns).ravel().tolist()  # row by row, as int64
+                out.write("%d,%d,%d\n" * len(block) % tuple(cells))
     return 0
 
 

@@ -39,10 +39,11 @@ from typing import NamedTuple
 import numpy as np
 
 from .chipmap import (
-    BLOCK_WORDS, CHIPS_PER_SYMBOL, REVERSED_BITS, ChipSequence, code_matrix, decode_chips, nearest
+    BLOCK_WORDS, CHIPS_PER_SYMBOL, CORRECTION_RADIUS, REVERSED_BITS, ChipSequence, code_matrix,
+    decode_chips, nearest
 )
 
-PATTERN_WEIGHT = 5          # = floor((d_min - 1) / 2) for d_min = 12: the correction radius
+PATTERN_WEIGHT = CORRECTION_RADIUS  # flips a pattern: the most a carrier despreads through
 MIN_PATTERN_SEPARATION = 6  # symmetric-difference floor between patterns
 CODEBOOK_SIZE = 16
 

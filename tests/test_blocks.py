@@ -22,7 +22,7 @@ import numpy as np
 import pytest
 
 import dsss_stego
-from dsss_stego import channel, cli, pipeline, stego
+from dsss_stego import channel, chipmap, cli, pipeline, stego
 from dsss_stego.channel import ChannelParams, make_rng, transmit_stream
 from dsss_stego.chipmap import BLOCK_WORDS, CHIPS_PER_SYMBOL, code_matrix, despread_stream, pack_chips
 from dsss_stego.pipeline import (
@@ -394,6 +394,14 @@ def test_threaded_transmit_peak_is_flat(monkeypatch, cores):
 
 def test_despread_peak_is_flat():
     words = np.random.default_rng(1).integers(0, 1 << 32, N_WORDS, dtype=np.uint32)
+    assert _traced_peak(lambda: despread_stream(words)) <= 1 * MIB
+
+
+def test_guessed_despread_peak_is_flat():
+    # at 0 dB most words keep their guess; the guess table is built inside the traced call
+    sent = code_matrix()[np.random.default_rng(1).integers(0, 16, N_WORDS)]
+    words, _ = transmit_stream(sent, ChannelParams.from_snr_db(0), make_rng(1))
+    chipmap._guesses.cache_clear()
     assert _traced_peak(lambda: despread_stream(words)) <= 1 * MIB
 
 

@@ -1,17 +1,24 @@
+import math
 import random
 from itertools import combinations
 
 import numpy as np
 import pytest
 
+from dsss_stego import stego
 from dsss_stego.chipmap import (
+    BLOCK_WORDS,
     CHIP_TABLE,
+    CORRECTION_RADIUS,
+    GUESS_WORDS,
     ChipSequence,
     code_matrix,
     code_set_stats,
     decode_chips,
+    despread_stream,
     hamming,
     map_symbol,
+    nearest,
     pack_chips,
     standard_code_set,
 )
@@ -164,3 +171,75 @@ def test_chip_sequence_invariants():
         ChipSequence.from_string("1" * 31)
     with pytest.raises(AttributeError):
         seq.word = 0
+
+
+def test_correction_radius_is_five_from_d_min_twelve():
+    assert code_set_stats().d_min == 12
+    assert CORRECTION_RADIUS == 5
+    assert stego.PATTERN_WEIGHT == CORRECTION_RADIUS
+
+
+def masks_within(radius):
+    # every uint32 mask of at most ``radius`` set bits: each weight's masks with one more bit set
+    bits = np.uint32(1) << np.arange(32, dtype=np.uint32)
+    masks = [np.zeros(1, dtype=np.uint32)]
+    for weight in range(1, radius + 1):
+        wider = np.unique(masks[-1][:, None] | bits)
+        masks.append(wider[np.bitwise_count(wider) == weight])
+    return np.concatenate(masks)
+
+
+def whole_chunks(array):
+    # the array repeated out to whole guessed chunks, so no word is left to the tail
+    return np.resize(array, -(-array.size // GUESS_WORDS) * GUESS_WORDS)
+
+
+def test_every_word_within_the_radius_despreads_to_its_code():
+    masks = masks_within(CORRECTION_RADIUS)
+    assert masks.size == sum(math.comb(32, k) for k in range(CORRECTION_RADIUS + 1)) == 242_825
+    words = (code_matrix()[:, None] ^ masks).ravel()
+    symbols = np.repeat(np.arange(16, dtype=np.uint8), masks.size)
+    assert np.array_equal(despread_stream(whole_chunks(words)), whole_chunks(symbols))
+
+
+def flipped_codes(rng, flips):
+    # each word a random code with flips[i] of its chips flipped
+    chips = rng.permuted(np.arange(32) < flips[:, None], axis=1)
+    return code_matrix()[rng.integers(0, 16, flips.size)] ^ pack_chips(chips)
+
+
+def halfway_codes(rng, n):
+    # code a with 6 of the 12 chips where it differs from a code b flipped: a tie of a and b
+    codes = code_matrix()
+    pairs = np.argwhere(np.bitwise_count(codes[:, None] ^ codes) == 12)
+    a, b = pairs[rng.integers(0, len(pairs), n)].T
+    differ = ((codes[a] ^ codes[b])[:, None] >> np.arange(32, dtype=np.uint32)) & 1 == 1
+    order = np.where(differ, rng.random((n, 32)), 2.0)  # differing chips first, in random order
+    words = codes[a] ^ pack_chips(order.argsort(axis=1).argsort(axis=1) < 6)
+    distances = np.bitwise_count(words[:, None] ^ codes)
+    assert (distances[np.arange(n), a] == 6).all() and (distances[np.arange(n), b] == 6).all()
+    return words
+
+
+GUESS_LENGTHS = (
+    1, BLOCK_WORDS - 1, BLOCK_WORDS, GUESS_WORDS - 1, GUESS_WORDS, GUESS_WORDS + 1,
+    3 * GUESS_WORDS + 17,
+)
+
+
+@pytest.mark.parametrize("n", GUESS_LENGTHS)
+@pytest.mark.parametrize("kind", ["flipped", "fading", "uniform", "halfway"])
+def test_despread_equals_nearest(kind, n):
+    rng = np.random.default_rng(n)
+    if kind == "flipped":  # 0 to 32 flips, most near the radius: chunks mix kept and searched words
+        words = flipped_codes(rng, np.where(rng.random(n) < 0.25, rng.integers(0, 33, n),
+                                            rng.integers(0, 9, n)))
+    elif kind == "fading":  # 0 flips rising to 32: guessed chunks, then a stream searched whole
+        words = flipped_codes(rng, np.arange(n) * 33 // n)
+    elif kind == "uniform":
+        words = rng.integers(0, 1 << 32, n, dtype=np.uint32)
+    else:
+        words = halfway_codes(rng, n)
+    got = despread_stream(words)
+    assert got.dtype == np.uint8
+    assert np.array_equal(got, nearest(words, code_matrix()) & 0xF)

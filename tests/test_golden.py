@@ -48,13 +48,19 @@ PINS = {
 # was taken while the random payload was one ``Generator.integers`` call; its
 # 4 * (6000 + 1759) payload bits end on half a 64-bit word, where those of
 # ``slots-cross-block`` (9000 + 5330) and ``report.sim-clean`` (1e5 + 0) end on
-# a whole one.
+# a whole one.  The three ``guess-*`` and ``uniform-*`` pins were taken while every
+# word was despread by a 16-code search; their 40 000 symbols fill two whole guessed
+# chunks of 16 384 words and a tail, at -8 dB (most words miss the guess), 6 dB
+# (nearly all are guessed) and p_chip 0.5 (uniform words, ties decided by the search).
 REPORT_PINS = {
     "fixed-prefix": "137e288da1e84e0f4d35903c0436ed1fb77d6168c4e96da620d4f0faff03886f",
     "rate1-6dB": "ee1f54535a3a28afd7f485e82baec4ec8047fc7a2b277a00e078167cc0ddd1e0",
     "p-chip-0.2": "27cf9767eee0bc72b9f8d012367b3a0246bb0db950f9c7d2bce1a4e81d16ecd9",
     "slots-cross-block": "5e95da104f1d8665b0388968ef31eaaa039e27807565ddc4681abae95633b36e",
     "half-word-tail": "18734c701e37f40d74acd901783e81a541400ad4352c6f471c7d087348d3dac0",
+    "guess-miss--8dB": "9b6efd87b51a204054291c326593bd1f93d0ccc2c4b27a01665fd01e2757926d",
+    "guess-hit-6dB": "39e57b7619f5b2a1729038633a3dcc4ff77e4c834dcdc7dcc42b5a92abbf45ee",
+    "uniform-p-chip-0.5": "f66261b0d906e6da22a396316834f5d21dedbbccc404564a8f0fa45a09db51b3",
 }
 
 # The ``decode --diag-out`` sidecar of a noisy chip file, taken while each
@@ -158,6 +164,12 @@ def test_simulation_report_pinned(name, num_symbols, embed_rate):
         # 6000 symbols and 1759 slots: the random payload ends on half a 64-bit word
         ("half-word-tail", dict(num_symbols=6000, channel=ChannelParams.from_snr_db(1.0),
                                 embed_rate=0.3)),
+        ("guess-miss--8dB", dict(num_symbols=40_000, channel=ChannelParams.from_snr_db(-8),
+                                 embed_rate=0.0)),
+        ("guess-hit-6dB", dict(num_symbols=40_000, channel=ChannelParams.from_snr_db(6),
+                               embed_rate=0.25)),
+        ("uniform-p-chip-0.5", dict(num_symbols=40_000, channel=ChannelParams(0.5),
+                                    embed_rate=0.0)),
     ],
 )
 def test_more_simulation_reports_pinned(name, kwargs):
