@@ -20,8 +20,9 @@ from .stego import (
     StegoKey, _as_int, embed_words, embedding_schedule, extract_diffs, slot_permutations
 )
 
-# a byte's two symbols: packbits and this lookup group 1e5 symbols about 5x faster than a matmul
+# a byte's two symbols, and their two code words: after packbits, each byte reads its row
 _NIBBLES = np.array([[b >> 4, b & 0xF] for b in range(256)], dtype=np.uint8)
+_PAIR_CODES = code_matrix()[_NIBBLES]  # (256, 2) uint32, 2 KiB
 _BITS = np.unpackbits(np.arange(16, dtype=np.uint8)[:, None], axis=1)[:, 4:]  # 4 bits, MSB first
 SlotPerms = tuple[np.ndarray, np.ndarray]  # (ascending scheduled slots, their (S, 32) perms)
 _SLOT_DTYPE = np.dtype([("symbol_index", np.intp), ("exact", bool), ("weight", np.uint8)])
@@ -34,22 +35,41 @@ class CapacityError(ValueError):
 def _as_bits(name: str, bits) -> np.ndarray:
     """The bits as a flat uint8 array, checked before they are narrowed: each 0 or 1."""
     bits = np.ravel(bits)
-    if np.count_nonzero(bits) != np.count_nonzero(bits == 1):  # a nonzero bit other than 1
+    if bits.dtype == np.uint8:  # the same test, with no full-size temporary
+        bad = bits.max(initial=0) > 1
+    else:  # a nonzero bit other than 1
+        bad = np.count_nonzero(bits) != np.count_nonzero(bits == 1)
+    if bad:
         raise ValueError(f"{name} must be 0 or 1")
     return bits.astype(np.uint8, copy=False)
 
 
-def bits_to_symbols(bits: np.ndarray) -> np.ndarray:
-    """Group bits 4 at a time into symbol values, first bit as the MSB."""
-    bits = _as_bits("bits", bits)
+def _grouped(name: str, bits, table: np.ndarray) -> np.ndarray:
+    """The table entry of each 4 bits, first bit the MSB, from its (256, 2) table: packbits
+    puts 2 groups in a byte, high nibble first, and each byte reads its row, a block a time."""
+    bits = _as_bits(name, bits)
     if bits.size % BITS_PER_SYMBOL:
         raise ValueError(f"bit count must be divisible by 4, got {bits.size}")
-    packed = np.packbits(bits)  # 2 symbols a byte, high nibble first
-    return _NIBBLES.take(packed, axis=0).reshape(-1)[: bits.size // BITS_PER_SYMBOL]
+    packed = np.packbits(bits)
+    out = np.empty((packed.size, 2), dtype=table.dtype)
+    # a block's indices are cast to intp in 32 KiB; "clip" clips no byte, and unlike
+    # "raise" it writes out directly, with no buffered copy
+    for start in range(0, packed.size, BLOCK_WORDS):
+        block = slice(start, start + BLOCK_WORDS)
+        table.take(packed[block], axis=0, out=out[block], mode="clip")
+    return out.reshape(-1)[: bits.size // BITS_PER_SYMBOL]
+
+
+def bits_to_symbols(bits: np.ndarray) -> np.ndarray:
+    """Group bits 4 at a time into symbol values, first bit as the MSB."""
+    return _grouped("bits", bits, _NIBBLES)
 
 
 def symbols_to_bits(symbols: np.ndarray) -> np.ndarray:
     """Each symbol value (< 16) as 4 bits, first bit the MSB: one table row per symbol."""
+    symbols = np.asarray(symbols)
+    if symbols.dtype.kind == "i" and symbols.min(initial=0) < 0:  # take would read row 16 - k
+        raise IndexError(f"symbols must be >= 0, got {symbols.min()}")
     return _BITS.take(symbols, axis=0).reshape(-1)
 
 
@@ -82,10 +102,9 @@ def encode_stream(
     it derives permutations up to the last payload slot; ``perms=(slots,
     permutations)`` passes in the slots to fill and theirs; embed_rate is then unread.
     """
-    symbols = bits_to_symbols(data_bits)
-    words = code_matrix()[symbols]
+    words = _grouped("bits", data_bits, _PAIR_CODES)
     if perms is None:
-        perms = np.nonzero(embedding_schedule(key, embed_rate, symbols.size))[0], None
+        perms = np.nonzero(embedding_schedule(key, embed_rate, len(words)))[0], None
     slots, slot_perms = perms
     rows, stego_bits = _framed(np.ravel(stego_bits), slots)
     if rows.size == 0:

@@ -67,6 +67,11 @@ REPORT_PINS = {
 # decoded slot was still one Python object.
 DIAG_PIN = "d98455bfadef30407ce7854d0405507212d9b681526ca0f0c6cd3e75f6ec4e69"
 
+# The ``encode_stream`` words of 16 385 symbols at rate 0.37 with a 1002-bit covert
+# payload, taken while each symbol's code word was still looked up on its own: two whole
+# spreading blocks of 8192 symbols and one symbol more, an odd count no chip file holds.
+BLOCKS_PIN = "31308b21ac2dabaa248d0c022f3431ecf6d3b951de248c8d26b5801c065f0f2c"
+
 # Text outputs of ``stats``, ``analytic`` and ``sweep``, taken while the code
 # table was still a settable ``CodeSet`` and the model carried n, t and d_mean.
 # ``analytic-diff`` was taken later, while the model still spelled out its own
@@ -124,6 +129,17 @@ def test_encoded_chip_file_pinned(tmp_path):
     write_chip_stream(path, chips)
     assert sha(path.read_bytes()) == PINS["encode.chipfile"]
 
+
+
+def test_encode_across_spreading_blocks_pinned():
+    words = dsss_stego.encode_stream(
+        fixed_bits("blocks", 4 * 16_385),
+        fixed_bits("stego", 1002),
+        dsss_stego.StegoKey.from_hex(REF_KEY),
+        0.37,
+    )
+    assert words.dtype == np.uint32 and words.shape == (16_385,)
+    assert sha(words.astype("<u4").tobytes()) == BLOCKS_PIN
 
 @pytest.mark.parametrize(
     "name, num_symbols, embed_rate",

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from dsss_stego import pipeline, stego
 from dsss_stego.channel import ChannelParams, make_rng
-from dsss_stego.chipmap import CHIP_TABLE, ChipSequence, code_matrix, decode_chips
+from dsss_stego.chipmap import CHIP_TABLE, ChipSequence, code_matrix, decode_chips, map_symbol
 from dsss_stego.pipeline import (
     CapacityError,
     SimConfig,
@@ -21,7 +21,7 @@ from dsss_stego.pipeline import (
     run_simulations,
     symbols_to_bits,
 )
-from dsss_stego.stego import StegoKey
+from dsss_stego.stego import KeySchedule, StegoKey, embed
 
 KEY = StegoKey.from_hex("ACE1")
 
@@ -66,6 +66,15 @@ def test_bits_symbols_round_trip():
         bits_to_symbols(np.ones(5, dtype=np.uint8))
 
 
+@pytest.mark.parametrize("dtype", [np.int8, np.int16, np.int32, np.int64])
+def test_negative_symbols_rejected(dtype):
+    # take would read index -k as row 16 - k: -1 used to pass as symbol 15
+    with pytest.raises(IndexError):
+        symbols_to_bits(np.array([3, -1], dtype=dtype))
+    assert symbols_to_bits(np.array([15], dtype=dtype)).tolist() == [1, 1, 1, 1]
+    assert symbols_to_bits(np.zeros(0, dtype=dtype)).size == 0
+
+
 def test_non_binary_bits_rejected():
     # such values used to wrap: [32, 0, 0, 0] became symbol 0, [0, 0, 1, 2] became 4
     for bad in ([32, 0, 0, 0], [0, 0, 1, 2], [0, 0, 0, -1], [0.5, 0, 0, 0]):
@@ -90,6 +99,71 @@ def test_despread_matches_scalar_decoder():
         assert decode_chips(ChipSequence(word)).symbol == got
         # loop reference: first code at the least popcount distance
         assert min(range(16), key=lambda s: ((word ^ codes[s]).bit_count(), s)) == got
+
+
+# -- spreading a byte of data bits at a time -------------------------------------
+
+NO_COVERT = np.zeros(0, dtype=np.uint8)
+
+
+def _by_hand(bits) -> list[int]:
+    """4 bits a symbol, first bit the MSB, read off the bit string."""
+    text = "".join(map(str, np.asarray(bits).tolist()))
+    return [int(text[k : k + 4], 2) for k in range(0, len(text), 4)]
+
+
+def test_encode_spreads_every_byte_value():
+    bits = np.unpackbits(np.arange(256, dtype=np.uint8))
+    words = encode_stream(bits, NO_COVERT, KEY, 0.0)
+    assert words.dtype == np.uint32
+    assert words.tolist() == [map_symbol(s).word for s in _by_hand(bits)]
+
+
+# a block reads 4096 bytes, 8192 symbols: none, parts of one, one, one and a part, two
+# and a part
+@pytest.mark.parametrize("n", [0, 1, 3, 8191, 8192, 8193, 16_385])
+def test_encode_across_spreading_blocks_matches_scalar_spreading(n):
+    rng = np.random.default_rng(n)
+    data = random_bits(rng, 4 * n)
+    symbols = _by_hand(data)
+    words = encode_stream(data, NO_COVERT, KEY, 0.0)
+    assert words.shape == (n,) and words.tolist() == [map_symbol(s).word for s in symbols]
+    if n > 8193:
+        return
+    # a covert payload that ends mid-stream, on a partial last slot
+    slots = np.flatnonzero(embedding_schedule(KEY, 0.5, n)).tolist()
+    covert = random_bits(rng, max(0, 2 * len(slots) - 1)).tolist()
+    schedule, want = KeySchedule(KEY), [map_symbol(s) for s in symbols]
+    for slot, symbol in zip(slots, _by_hand(covert + [0] * (-len(covert) % 4))):
+        want[slot] = embed(want[slot], symbol, schedule, slot)
+    got = encode_stream(data, np.array(covert, dtype=np.uint8), KEY, 0.5)
+    assert got.tolist() == [word.word for word in want]
+
+
+@pytest.mark.parametrize("bad", [2, 255])
+def test_uint8_bits_above_one_rejected(bad):
+    bits = np.zeros(8, dtype=np.uint8)
+    bits[5] = bad
+    with pytest.raises(ValueError, match="0 or 1"):
+        bits_to_symbols(bits)
+    with pytest.raises(ValueError, match="0 or 1"):
+        encode_stream(bits, NO_COVERT, KEY, 1.0)
+    with pytest.raises(ValueError, match="0 or 1"):
+        encode_stream(np.zeros(8, dtype=np.uint8), bits, KEY, 1.0)
+    with pytest.raises(ValueError, match="data_bits must be 0 or 1"):
+        _config(num_symbols=2, data_bits=bits)
+    with pytest.raises(ValueError, match="stego_bits must be 0 or 1"):
+        _config(num_symbols=2, data_bits=np.zeros(8, np.uint8), stego_bits=bits)
+
+
+def test_empty_and_bool_bits_accepted():
+    assert bits_to_symbols(NO_COVERT).size == 0
+    assert encode_stream(NO_COVERT, NO_COVERT, KEY, 1.0).size == 0
+    bits = np.array([1, 0, 1, 1, 0, 1, 1, 0], dtype=bool)
+    assert bits_to_symbols(bits).tolist() == [0b1011, 0b0110]
+    words = encode_stream(bits, bits[:4], KEY, 1.0)
+    assert (words == encode_stream(bits.astype(np.uint8), bits[:4].view(np.uint8), KEY, 1.0)).all()
+    assert _config(num_symbols=2, data_bits=bits).data_bits.tolist() == bits.tolist()
 
 
 # -- encode -------------------------------------------------------------------
@@ -182,8 +256,9 @@ def test_simulation_derives_schedule_and_permutations_once(monkeypatch):
 
 
 def test_simulation_groups_bits_into_symbols_only_to_encode(monkeypatch):
-    # the error counts read the bit arrays; only encode_stream groups data and covert bits
-    groupings = _count_calls(monkeypatch, pipeline, "bits_to_symbols")
+    # the error counts read the bit arrays; only encode_stream groups data and covert bits,
+    # both through _grouped (the data straight into code-word pairs)
+    groupings = _count_calls(monkeypatch, pipeline, "_grouped")
     run_simulation(_config(num_symbols=500, channel=ChannelParams(0.05), embed_rate=0.5))
     assert len(groupings) <= 2
 
