@@ -74,7 +74,7 @@ def delta_avg_distance(t: int, d_mean: float) -> float:
     """Shift in the mean pairwise code distance when t of 32 chips flip."""
     if not 0 <= t <= CHIPS_PER_SYMBOL:
         raise ValueError(f"t must be in [0, 32], got {t}")
-    if d_mean <= 0:
+    if not 0 < d_mean:
         raise ValueError(f"d_mean must be positive, got {d_mean}")
     return t * d_mean / CHIPS_PER_SYMBOL
 
@@ -153,7 +153,7 @@ def delta_ber(delta_pm: float) -> float:
     Scales by the mean bit errors per symbol error (32/15) over the 4
     bits of a symbol, i.e. multiplies by 8/15.
     """
-    if delta_pm < 0.0:
+    if not 0.0 <= delta_pm:
         raise ValueError(f"delta_pm must be >= 0, got {delta_pm}")
     return (BIT_ERRORS_PER_SYMBOL_ERROR / BITS_PER_SYMBOL) * delta_pm
 
@@ -166,7 +166,7 @@ def ber_ieee(snr_linear: float) -> float:
     sum collapses to 15) and decays to 0.  All 15 terms are summed with
     compensated summation; they decay too slowly to truncate.
     """
-    if snr_linear < 0.0:
+    if not 0.0 <= snr_linear:
         raise ValueError(f"SNR must be >= 0, got {snr_linear}")
     x = SYMBOL_SNR_FACTOR * snr_linear
     return _BER_SCALE * math.fsum([c * math.exp(x * e) for c, e in _BER_TERMS])
@@ -181,7 +181,7 @@ def uncoded_bit_error_prob(snr_linear: float) -> float:
     This is the raw input the bounded-distance coding-gain estimate
     expects.
     """
-    if snr_linear <= 0.0:
+    if not 0.0 < snr_linear:
         raise ValueError(f"SNR must be positive, got {snr_linear}")
     return 0.5 * math.erfc(math.sqrt(UNCODED_BIT_SNR_FACTOR * snr_linear))
 

@@ -27,7 +27,7 @@ def snr_to_chip_error_prob(snr_linear: float) -> float:
     SNR grows.  A modeling convenience for driving the simulator from an
     SNR figure; the analytic BER model is separate.
     """
-    if snr_linear <= 0.0:
+    if not 0.0 < snr_linear:
         raise ValueError(f"SNR must be positive, got {snr_linear}")
     return 0.5 * math.erfc(math.sqrt(snr_linear))
 

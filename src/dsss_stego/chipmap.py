@@ -137,12 +137,8 @@ _KEY_SHIFT = CHIPS_PER_SYMBOL - 16  # a word's top 16 chips key its guess
 
 @functools.cache
 def _guesses() -> np.ndarray:
-    """(65536,) uint8: each top-16-chip key's nearest code, 1024 keys a call (small transients)."""
-    tops, piece = _CODE_WORDS >> _KEY_SHIFT, np.arange(1024, dtype=np.uint32)
-    guesses = np.empty(1 << 16, dtype=np.uint8)
-    for start in range(0, guesses.size, piece.size):
-        guesses[start : start + piece.size] = nearest(piece + start, tops) & 0xF
-    return guesses
+    """(65536,) uint8: each top-16-chip key's nearest code, the low nibbles of its keys."""
+    return nearest_table(_CODE_WORDS >> _KEY_SHIFT, 16).astype(np.uint8) & np.uint8(0xF)
 
 
 def code_matrix() -> np.ndarray:
@@ -166,6 +162,15 @@ def nearest(words: np.ndarray, table: np.ndarray) -> np.ndarray:
     keys = np.bitwise_count(words ^ table[:, None]).astype(np.uint16) << 4  # distance <= 32
     keys |= _CANDIDATE_INDEX
     return np.minimum.reduce(keys, axis=0)
+
+
+def nearest_table(table: np.ndarray, bits: int) -> np.ndarray:
+    """(2**bits,) uint16: ``nearest``'s key of every bits-bit word, 1024 words a call."""
+    keys = np.empty(1 << bits, dtype=np.uint16)
+    for start in range(0, keys.size, 1024):
+        words = np.arange(start, min(start + 1024, keys.size), dtype=np.uint32)
+        keys[start : start + words.size] = nearest(words, table)
+    return keys
 
 
 def despread_stream(words: np.ndarray) -> np.ndarray:

@@ -39,13 +39,12 @@ from typing import NamedTuple
 import numpy as np
 
 from .chipmap import (
-    BLOCK_WORDS, CHIPS_PER_SYMBOL, CORRECTION_RADIUS, REVERSED_BITS, ChipSequence, code_matrix,
-    decode_chips, nearest
+    BLOCK_WORDS, CHIPS_PER_SYMBOL, CORRECTION_RADIUS, REVERSED_BITS, SYMBOL_VALUES, ChipSequence,
+    code_matrix, decode_chips, nearest_table
 )
 
 PATTERN_WEIGHT = CORRECTION_RADIUS  # flips a pattern: the most a carrier despreads through
 MIN_PATTERN_SEPARATION = 6  # symmetric-difference floor between patterns
-CODEBOOK_SIZE = 16
 
 # Maximal-length Fibonacci LFSR feedback taps (bit positions, 1-based).
 # The permutation keystream XORs one register per polynomial: a single
@@ -109,9 +108,9 @@ def build_codebook() -> StegoCodebook:
                 break
         else:
             accepted.append(cand)
-            if len(accepted) == CODEBOOK_SIZE:
+            if len(accepted) == SYMBOL_VALUES:
                 break
-    if len(accepted) < CODEBOOK_SIZE:
+    if len(accepted) < SYMBOL_VALUES:
         raise CodebookError(
             f"only {len(accepted)} patterns at separation {MIN_PATTERN_SEPARATION}"
         )
@@ -415,11 +414,12 @@ class KeySchedule:
 
 
 @functools.lru_cache(maxsize=1)
-def _mask_table() -> tuple[np.ndarray, np.ndarray]:
-    """The codebook as a (16,) uint32 table of masks over codebook positions, and its
-    span: the positions 0 up to the highest any pattern holds, as uint32."""
+def _mask_table() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The codebook as a (16,) uint32 table of masks over codebook positions, its span (the
+    positions 0 up to the highest any pattern holds, uint32) and the read key of each span word."""
     masks = np.array(build_codebook().masks, dtype=np.uint32)
-    return masks, np.arange(int(masks.max()).bit_length(), dtype=np.uint32)
+    span = int(masks.max()).bit_length()
+    return masks, np.arange(span, dtype=np.uint32), nearest_table(masks, span)
 
 
 def embed_words(words: np.ndarray, stego_symbols: np.ndarray, perms: np.ndarray) -> np.ndarray:
@@ -428,7 +428,7 @@ def embed_words(words: np.ndarray, stego_symbols: np.ndarray, perms: np.ndarray)
     Bit p of the pattern's mask flips chip perms[k, p]: the span's permutation
     columns are read on their (span, block) transpose, a block of words at a time.
     """
-    masks, span = _mask_table()
+    masks, span, _ = _mask_table()
     out = np.empty_like(words)
     for start in range(0, len(words), BLOCK_WORDS):
         block = slice(start, start + BLOCK_WORDS)
@@ -446,17 +446,17 @@ def extract_diffs(
     Bit p of a diff read back through its permutation is chip perms[k, p], for p
     in the span.  The symbol is the mask at the least symmetric difference from
     it (ties to the lowest symbol; chips outside the span add the same to every
-    mask), by ``chipmap.nearest`` a block of words at a time.  A slot is exact
+    mask), looked up in the read keys a block of words at a time.  A slot is exact
     iff its read word is a mask and its diff has no other chip: weight 5.
     """
-    masks, span = _mask_table()
+    _, span, read = _mask_table()
     symbols = np.empty(len(diffs), dtype=np.uint8)
     exact = np.empty(len(diffs), dtype=bool)
     weight = np.bitwise_count(diffs)
     for start in range(0, len(diffs), BLOCK_WORDS):
         block = slice(start, start + BLOCK_WORDS)
         bits = (diffs[block] >> perms[block, : len(span)].T) & 1  # (span, block)
-        keys = nearest((1 << span) @ bits, masks)
+        keys = read.take((1 << span) @ bits)
         symbols[block] = keys & 0xF
         exact[block] = (keys < 16) & (weight[block] == PATTERN_WEIGHT)
     return symbols, exact, weight
@@ -480,7 +480,7 @@ def embed(
     if decode_chips(carrier).distance != 0:
         raise InvalidCarrierError(f"carrier {carrier.to_string()} is not a standard spreading code")
     stego_symbol = _as_int("stego_symbol", stego_symbol)
-    if not 0 <= stego_symbol < CODEBOOK_SIZE:
+    if not 0 <= stego_symbol < SYMBOL_VALUES:
         raise ValueError(f"stego symbol out of range: {stego_symbol}")
     perms = np.array([schedule.permutation(symbol_index)], np.uint8)
     word = embed_words(np.array([carrier.word], np.uint32), np.array([stego_symbol]), perms)

@@ -23,6 +23,7 @@ from dsss_stego.analysis import (
     stego_alphabet_size,
     uncoded_bit_error_prob,
 )
+from dsss_stego.channel import snr_to_chip_error_prob
 
 mp.mp.dps = 50
 
@@ -190,6 +191,26 @@ def test_uncoded_bit_error_prob():
     assert uncoded_bit_error_prob(1.0) == pytest.approx(float(mp.erfc(mp.sqrt(5)) / 2), rel=1e-12)
     with pytest.raises(ValueError):
         uncoded_bit_error_prob(0.0)
+
+
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        (lambda nan: delta_avg_distance(5, nan), "d_mean"),
+        (delta_ber, "delta_pm"),
+        (ber_ieee, "SNR"),
+        (uncoded_bit_error_prob, "SNR"),
+        (snr_to_chip_error_prob, "SNR"),
+        # with no load the bisection ran 200 steps to a row of NaNs; with load the
+        # error named a p_b the caller never passed
+        (lambda nan: sensitivity_point(nan, PerformanceModelParams(embed_rate=0.0)), "SNR"),
+        (lambda nan: sensitivity_point(nan, PerformanceModelParams(embed_rate=0.5)), "SNR"),
+    ],
+    ids=["d_mean", "delta_pm", "ber_ieee", "uncoded", "chip_error", "point-clean", "point-load"],
+)
+def test_range_checks_reject_nan(call, name):
+    with pytest.raises(ValueError, match=f"^{name} must .*, got nan$"):
+        call(math.nan)
 
 
 # -- covert-load BER and sensitivity ------------------------------------------

@@ -405,6 +405,15 @@ def test_guessed_despread_peak_is_flat():
     assert _traced_peak(lambda: despread_stream(words)) <= 1 * MIB
 
 
+def test_lookup_table_build_peak_is_small():
+    # despreading's 64 KiB guess table and extraction's 32 KiB read keys are each built
+    # 1024 words a call, from both caches cleared
+    chipmap._guesses.cache_clear()
+    stego._mask_table.cache_clear()
+    assert _traced_peak(chipmap._guesses) <= MIB // 2
+    assert _traced_peak(stego._mask_table) <= MIB // 2
+
+
 def test_diag_out_peak_is_flat(tmp_path, monkeypatch):
     # the sidecar of 1e5 slots is 1.0 MiB; built whole as row strings it peaked at 16 MiB
     rng = np.random.default_rng(2)

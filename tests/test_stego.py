@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 
 import dsss_stego
 from dsss_stego import stego
+from dsss_stego.channel import ChannelParams, make_rng, transmit_stream
 from dsss_stego.chipmap import (
     ChipSequence,
     decode_chips,
@@ -42,7 +44,7 @@ from dsss_stego.stego import (
     permutation_stream,
 )
 
-from test_golden import oracle_bits, stream_bits
+from test_golden import fixed_bits, oracle_bits, stream_bits
 
 # df=31 chi-square critical value at the 1% significance level
 CHI2_CRIT_31_P99 = 52.1914
@@ -588,6 +590,35 @@ def test_extraction_matches_scalar_oracle():
         want = oracle_extract(word, perm)
         assert (symbols[i], decoded.slots[i].exact, decoded.slots[i].weight) == want
         assert extract(ChipSequence(word), sched, i) == want
+
+
+def test_read_table_equals_oracle_on_every_read_word():
+    # a read word covers the 14 chips of the codebook span: every one of its 2^14 values,
+    # against the least symmetric difference with each mask, ties to the lowest symbol
+    masks = build_codebook().masks
+    span = max(masks).bit_length()
+    want = []
+    for word in range(1 << span):
+        distances = [(word ^ mask).bit_count() for mask in masks]
+        want.append(min(distances) << 4 | distances.index(min(distances)))
+    _, _, read = stego._mask_table()
+    assert (span, read.dtype) == (14, np.uint16)
+    assert read.tolist() == want
+
+
+# The covert symbols and slot records of a rate-1 stream of 20 000 symbols after a -2 dB
+# channel, where most slots fall back: taken while each slot was searched over the 16 masks.
+EXTRACT_PIN = "3e9c3fffa0d90d8ac9e857524feceb3927b0420d9187026720ee8381c6aecd41"
+
+
+def test_noisy_extraction_pinned():
+    n, key = 20_000, StegoKey.from_hex("ACE1")
+    words = encode_stream(fixed_bits("data", 4 * n), fixed_bits("stego", 4 * n), key, 1.0)
+    noisy, _ = transmit_stream(words, ChannelParams.from_snr_db(-2), make_rng(2011))
+    decoded = decode_stream(noisy, key, 1.0)
+    assert decoded.slots.exact.sum() < n // 50
+    digest = hashlib.sha256(decoded.stego_bits.tobytes() + decoded.slots.tobytes()).hexdigest()
+    assert digest == EXTRACT_PIN
 
 
 def test_extract_survives_one_extra_flip():
