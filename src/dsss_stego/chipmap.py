@@ -131,7 +131,7 @@ _CANDIDATE_INDEX = np.arange(SYMBOL_VALUES, dtype=np.uint16)[:, None]  # the low
 # Codes are at least d_min chips apart, so a word within this many chips of a code has that
 # code as its only nearest, with no tie: bounded-distance decoding.
 CORRECTION_RADIUS = (code_set_stats().d_min - 1) // 2
-GUESS_WORDS = 4 * BLOCK_WORDS  # words a guessed chunk; a shorter stream or a tail is searched
+GUESS_WORDS = 4 * BLOCK_WORDS  # words a chunk of despreading; the last may be shorter
 _KEY_SHIFT = CHIPS_PER_SYMBOL - 16  # a word's top 16 chips key its guess
 
 
@@ -174,23 +174,16 @@ def nearest_table(table: np.ndarray, bits: int) -> np.ndarray:
 
 
 def despread_stream(words: np.ndarray) -> np.ndarray:
-    """Nearest-code symbol per word, ties to the lowest; a whole chunk keeps each word's guess
-    from its top chips if within CORRECTION_RADIUS of it and searches the rest, in blocks."""
+    """Nearest-code symbol per word, ties to the lowest: a chunk at a time, each word keeps the
+    guess keyed by its top chips if within CORRECTION_RADIUS of it, and the rest are searched."""
     out = np.empty(len(words), dtype=np.uint8)
-    guessed = len(words) - len(words) % GUESS_WORDS
-    for start in range(0, guessed, GUESS_WORDS):
+    for start in range(0, len(words), GUESS_WORDS):
         chunk = words[start : start + GUESS_WORDS]
         out[start : start + GUESS_WORDS] = guess = _guesses().take(chunk >> _KEY_SHIFT)
         far = np.flatnonzero(np.bitwise_count(chunk ^ _CODE_WORDS.take(guess)) > CORRECTION_RADIUS)
-        if far.size > GUESS_WORDS * 3 // 4:  # a noisy stream: the rest is faster searched in place
-            guessed = start
-            break
         for k in range(0, far.size, BLOCK_WORDS):
             piece = far[k : k + BLOCK_WORDS] + start
             out[piece] = nearest(words[piece], _CODE_WORDS) & 0xF
-    for start in range(guessed, len(words), BLOCK_WORDS):
-        block = slice(start, start + BLOCK_WORDS)
-        out[block] = nearest(words[block], _CODE_WORDS) & 0xF
     return out
 
 

@@ -359,6 +359,7 @@ def embedding_schedule(key: StegoKey, embed_rate: float, num_symbols: int) -> np
     """
     if not 0.0 <= embed_rate <= 1.0:
         raise ValueError(f"embed_rate must be in [0, 1], got {embed_rate}")
+    num_symbols = _as_int("num_symbols", num_symbols)
     if num_symbols < 0:
         raise ValueError(f"num_symbols must be >= 0, got {num_symbols}")
     if embed_rate in (0.0, 1.0):
@@ -414,12 +415,17 @@ class KeySchedule:
 
 
 @functools.lru_cache(maxsize=1)
-def _mask_table() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The codebook as a (16,) uint32 table of masks over codebook positions, its span (the
-    positions 0 up to the highest any pattern holds, uint32) and the read key of each span word."""
+def _mask_table() -> tuple[np.ndarray, np.ndarray]:
+    """The (16,) uint32 codebook masks and their span: the uint32 positions 0 to their top bit."""
     masks = np.array(build_codebook().masks, dtype=np.uint32)
-    span = int(masks.max()).bit_length()
-    return masks, np.arange(span, dtype=np.uint32), nearest_table(masks, span)
+    return masks, np.arange(int(masks.max()).bit_length(), dtype=np.uint32)
+
+
+@functools.lru_cache(maxsize=1)
+def _read_keys() -> np.ndarray:
+    """The read key of each span word, built on the first extraction: no encoder reads it."""
+    masks, span = _mask_table()
+    return nearest_table(masks, len(span))
 
 
 def embed_words(words: np.ndarray, stego_symbols: np.ndarray, perms: np.ndarray) -> np.ndarray:
@@ -428,7 +434,7 @@ def embed_words(words: np.ndarray, stego_symbols: np.ndarray, perms: np.ndarray)
     Bit p of the pattern's mask flips chip perms[k, p]: the span's permutation
     columns are read on their (span, block) transpose, a block of words at a time.
     """
-    masks, span, _ = _mask_table()
+    masks, span = _mask_table()
     out = np.empty_like(words)
     for start in range(0, len(words), BLOCK_WORDS):
         block = slice(start, start + BLOCK_WORDS)
@@ -449,7 +455,7 @@ def extract_diffs(
     mask), looked up in the read keys a block of words at a time.  A slot is exact
     iff its read word is a mask and its diff has no other chip: weight 5.
     """
-    _, span, read = _mask_table()
+    span, read = _mask_table()[1], _read_keys()
     symbols = np.empty(len(diffs), dtype=np.uint8)
     exact = np.empty(len(diffs), dtype=bool)
     weight = np.bitwise_count(diffs)

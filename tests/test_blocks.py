@@ -407,11 +407,12 @@ def test_guessed_despread_peak_is_flat():
 
 def test_lookup_table_build_peak_is_small():
     # despreading's 64 KiB guess table and extraction's 32 KiB read keys are each built
-    # 1024 words a call, from both caches cleared
+    # 1024 words a call, from their caches cleared
     chipmap._guesses.cache_clear()
     stego._mask_table.cache_clear()
+    stego._read_keys.cache_clear()
     assert _traced_peak(chipmap._guesses) <= MIB // 2
-    assert _traced_peak(stego._mask_table) <= MIB // 2
+    assert _traced_peak(stego._read_keys) <= MIB // 2
 
 
 def test_diag_out_peak_is_flat(tmp_path, monkeypatch):

@@ -5,7 +5,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from dsss_stego import stego
+from dsss_stego import chipmap, stego
 from dsss_stego.chipmap import (
     BLOCK_WORDS,
     CHIP_TABLE,
@@ -189,17 +189,12 @@ def masks_within(radius):
     return np.concatenate(masks)
 
 
-def whole_chunks(array):
-    # the array repeated out to whole guessed chunks, so no word is left to the tail
-    return np.resize(array, -(-array.size // GUESS_WORDS) * GUESS_WORDS)
-
-
 def test_every_word_within_the_radius_despreads_to_its_code():
     masks = masks_within(CORRECTION_RADIUS)
     assert masks.size == sum(math.comb(32, k) for k in range(CORRECTION_RADIUS + 1)) == 242_825
     words = (code_matrix()[:, None] ^ masks).ravel()
     symbols = np.repeat(np.arange(16, dtype=np.uint8), masks.size)
-    assert np.array_equal(despread_stream(whole_chunks(words)), whole_chunks(symbols))
+    assert np.array_equal(despread_stream(words), symbols)
 
 
 def flipped_codes(rng, flips):
@@ -227,19 +222,52 @@ GUESS_LENGTHS = (
 )
 
 
+def noisy_then_clean(rng, n):
+    # a chunk of uniform words, which mostly miss their guesses, then exact code words
+    noisy = rng.integers(0, 1 << 32, min(n, GUESS_WORDS), dtype=np.uint32)
+    return np.concatenate((noisy, code_matrix()[rng.integers(0, 16, n - noisy.size)]))
+
+
 @pytest.mark.parametrize("n", GUESS_LENGTHS)
-@pytest.mark.parametrize("kind", ["flipped", "fading", "uniform", "halfway"])
+@pytest.mark.parametrize("kind", ["flipped", "fading", "uniform", "halfway", "noisy-then-clean"])
 def test_despread_equals_nearest(kind, n):
     rng = np.random.default_rng(n)
     if kind == "flipped":  # 0 to 32 flips, most near the radius: chunks mix kept and searched words
         words = flipped_codes(rng, np.where(rng.random(n) < 0.25, rng.integers(0, 33, n),
                                             rng.integers(0, 9, n)))
-    elif kind == "fading":  # 0 flips rising to 32: guessed chunks, then a stream searched whole
+    elif kind == "fading":  # 0 flips rising to 32: chunks from all kept to mostly searched
         words = flipped_codes(rng, np.arange(n) * 33 // n)
     elif kind == "uniform":
         words = rng.integers(0, 1 << 32, n, dtype=np.uint32)
-    else:
+    elif kind == "halfway":
         words = halfway_codes(rng, n)
+    else:
+        words = noisy_then_clean(rng, n)
     got = despread_stream(words)
     assert got.dtype == np.uint8
     assert np.array_equal(got, nearest(words, code_matrix()) & 0xF)
+
+
+def searched_words(monkeypatch, words):
+    # despread the words, counting the words despreading sends to the 16-code search
+    sent = []
+
+    def counted(words, table):
+        sent.append(words.size)
+        return nearest(words, table)
+
+    monkeypatch.setattr(chipmap, "nearest", counted)
+    assert np.array_equal(despread_stream(words), nearest(words, code_matrix()) & 0xF)
+    return sum(sent)
+
+
+def test_exact_short_stream_searches_no_word(monkeypatch):
+    # a stream shorter than one chunk is guessed too, so exact code words skip the search
+    words = code_matrix()[np.random.default_rng(3).integers(0, 16, 500)]
+    assert searched_words(monkeypatch, words) == 0
+
+
+def test_a_noisy_chunk_leaves_later_chunks_guessed(monkeypatch):
+    # each chunk is guessed alone: a chunk of uniform words does not send the clean rest to search
+    words = noisy_then_clean(np.random.default_rng(4), 3 * GUESS_WORDS)
+    assert searched_words(monkeypatch, words) <= GUESS_WORDS

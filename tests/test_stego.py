@@ -529,6 +529,17 @@ def test_scalar_calls_take_numpy_integers():
     assert sched.permutation(np.int32(40)) == sched.permutation(40)
 
 
+@pytest.mark.parametrize("rate", [0.0, 0.37, 1.0])
+def test_schedule_length_must_be_an_integer(rate):
+    # True was read as one symbol at a fractional rate, and 3.0 failed with a TypeError
+    key = StegoKey.from_hex("ACE1")
+    for value in (True, 3.0):
+        with pytest.raises(ValueError, match="num_symbols must be an integer"):
+            embedding_schedule(key, rate, value)
+    want = embedding_schedule(key, rate, 3).tolist()
+    assert embedding_schedule(key, rate, np.int64(3)).tolist() == want
+
+
 def test_carrier_still_decodes_after_embedding():
     rnd = random.Random(5)
     for _ in range(3):
@@ -601,9 +612,21 @@ def test_read_table_equals_oracle_on_every_read_word():
     for word in range(1 << span):
         distances = [(word ^ mask).bit_count() for mask in masks]
         want.append(min(distances) << 4 | distances.index(min(distances)))
-    _, _, read = stego._mask_table()
+    read = stego._read_keys()
     assert (span, read.dtype) == (14, np.uint16)
     assert read.tolist() == want
+
+
+def test_encoding_leaves_the_read_keys_unbuilt():
+    # only extraction reads the 16 384 read keys, so an encode alone does not build them
+    stego._mask_table.cache_clear()
+    stego._read_keys.cache_clear()
+    key = StegoKey.from_hex("ACE1")
+    words = encode_stream(fixed_bits("data", 400), fixed_bits("stego", 400), key, 1.0)
+    assert stego._mask_table.cache_info().currsize == 1
+    assert stego._read_keys.cache_info().currsize == 0
+    assert np.array_equal(decode_stream(words, key, 1.0).stego_bits, fixed_bits("stego", 400))
+    assert stego._read_keys.cache_info().currsize == 1
 
 
 # The covert symbols and slot records of a rate-1 stream of 20 000 symbols after a -2 dB
