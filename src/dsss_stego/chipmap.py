@@ -149,7 +149,9 @@ def code_matrix() -> np.ndarray:
 def pack_chips(rows: np.ndarray) -> np.ndarray:
     """0/1 chips along the last axis (32 per word) -> uint32 words, chip i at bit i;
     a word's chips are 4 contiguous bytes of one flat pack, so no row packs alone."""
-    packed = np.packbits(rows := np.asarray(rows, dtype=bool), axis=None, bitorder="little")
+    if (rows := np.asarray(rows, dtype=bool)).shape[-1:] != (CHIPS_PER_SYMBOL,):
+        raise ValueError(f"need 32 chips along the last axis, got shape {rows.shape}")
+    packed = np.packbits(rows, axis=None, bitorder="little")
     return packed.view("<u4").reshape(rows.shape[:-1]).astype(np.uint32, copy=False)
 
 
@@ -173,17 +175,27 @@ def nearest_table(table: np.ndarray, bits: int) -> np.ndarray:
     return keys
 
 
+def _as_words(words) -> np.ndarray:
+    """The words as uint32, checked before they are narrowed: integers in [0, 2**32)."""
+    if (words := np.asarray(words)).dtype == np.uint32:  # no pass over them, no copy
+        return words
+    if words.dtype.kind not in "iu" or words.size and (words.min() < 0 or words.max() >= 1 << 32):
+        raise ValueError(f"words must be integers in [0, 2**32), got {words.dtype} {words!r:.80}")
+    return words.astype(np.uint32)
+
+
 def despread_stream(words: np.ndarray) -> np.ndarray:
     """Nearest-code symbol per word, ties to the lowest: a chunk at a time, each word keeps the
     guess keyed by its top chips if within CORRECTION_RADIUS of it, and the rest are searched."""
-    out = np.empty(len(words), dtype=np.uint8)
+    out = np.empty(len(words := _as_words(words)), dtype=np.uint8)
     for start in range(0, len(words), GUESS_WORDS):
         chunk = words[start : start + GUESS_WORDS]
-        out[start : start + GUESS_WORDS] = guess = _guesses().take(chunk >> _KEY_SHIFT)
-        far = np.flatnonzero(np.bitwise_count(chunk ^ _CODE_WORDS.take(guess)) > CORRECTION_RADIUS)
+        guess = out[start : start + GUESS_WORDS]  # "clip" clips no uint32 word's key, unbuffered
+        _guesses().take(chunk >> _KEY_SHIFT, out=guess, mode="clip")
+        far = (np.bitwise_count(chunk ^ _CODE_WORDS.take(guess)) > CORRECTION_RADIUS).nonzero()[0]
         for k in range(0, far.size, BLOCK_WORDS):
-            piece = far[k : k + BLOCK_WORDS] + start
-            out[piece] = nearest(words[piece], _CODE_WORDS) & 0xF
+            piece = far[k : k + BLOCK_WORDS]
+            guess[piece] = nearest(chunk[piece], _CODE_WORDS) & 0xF
     return out
 
 

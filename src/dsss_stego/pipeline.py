@@ -15,7 +15,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channel import GENERATOR_ID, ChannelParams, make_rng, transmit_stream
-from .chipmap import BITS_PER_SYMBOL, BLOCK_WORDS, CHIPS_PER_SYMBOL, code_matrix, despread_stream
+from .chipmap import (
+    BITS_PER_SYMBOL, BLOCK_WORDS, CHIPS_PER_SYMBOL, _as_words, code_matrix, despread_stream
+)
 from .stego import (
     StegoKey, _as_int, embed_words, embedding_schedule, extract_diffs, slot_permutations
 )
@@ -23,9 +25,12 @@ from .stego import (
 # a byte's two symbols, and their two code words: after packbits, each byte reads its row
 _NIBBLES = np.array([[b >> 4, b & 0xF] for b in range(256)], dtype=np.uint8)
 _PAIR_CODES = code_matrix()[_NIBBLES]  # (256, 2) uint32, 2 KiB
-_BITS = np.unpackbits(np.arange(16, dtype=np.uint8)[:, None], axis=1)[:, 4:]  # 4 bits, MSB first
+# (16, 1) uint32: each symbol's 4 bits, MSB first, as the 4 bytes of one word; take reads it flat
+_BIT_WORDS = np.unpackbits(np.arange(16, dtype=np.uint8)[:, None] << 4, axis=1, count=4).view("u4")
 SlotPerms = tuple[np.ndarray, np.ndarray]  # (ascending scheduled slots, their (S, 32) perms)
-_SLOT_DTYPE = np.dtype([("symbol_index", np.intp), ("exact", bool), ("weight", np.uint8)])
+_SLOT_DTYPE = np.dtype(
+    (np.record, [("symbol_index", np.intp), ("exact", bool), ("weight", np.uint8)])
+)
 
 
 class CapacityError(ValueError):
@@ -66,11 +71,11 @@ def bits_to_symbols(bits: np.ndarray) -> np.ndarray:
 
 
 def symbols_to_bits(symbols: np.ndarray) -> np.ndarray:
-    """Each symbol value (< 16) as 4 bits, first bit the MSB: one table row per symbol."""
-    symbols = np.asarray(symbols)
-    if symbols.dtype.kind == "i" and symbols.min(initial=0) < 0:  # take would read row 16 - k
+    """Each symbol value (< 16) as 4 bits, first bit the MSB: one table word per symbol."""
+    symbols = np.asarray(symbols).reshape(-1)
+    if symbols.dtype.kind == "i" and symbols.min(initial=0) < 0:  # take would read word 16 - k
         raise IndexError(f"symbols must be >= 0, got {symbols.min()}")
-    return _BITS.take(symbols, axis=0).reshape(-1)
+    return _BIT_WORDS.take(symbols).view(np.uint8)
 
 
 def _framed(stego_bits: np.ndarray, slots: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -128,7 +133,7 @@ def decode_stream(
     words: np.ndarray, key: StegoKey, embed_rate: float, *, perms: SlotPerms | None = None
 ) -> DecodedStream:
     """Despread (N,) uint32 words and extract covert symbols; ``perms`` as in encode_stream."""
-    decoded_symbols = despread_stream(words)
+    decoded_symbols = despread_stream(words := _as_words(words))
     data_bits = symbols_to_bits(decoded_symbols)
     if perms is None:
         slot_indices = np.nonzero(embedding_schedule(key, embed_rate, len(words)))[0]
@@ -136,10 +141,11 @@ def decode_stream(
     slot_indices, slot_perms = perms
     if len(slot_perms) != slot_indices.size:
         raise ValueError(f"perms has {len(slot_perms)} rows for {slot_indices.size} slots")
-    diffs = words[slot_indices] ^ code_matrix()[decoded_symbols[slot_indices]]
+    diffs = words.take(slot_indices) ^ code_matrix().take(decoded_symbols.take(slot_indices))
     stego_symbols, exact, weight = extract_diffs(diffs, slot_perms)
-    slots = np.rec.fromarrays((slot_indices, exact, weight), dtype=_SLOT_DTYPE)
-    return DecodedStream(data_bits, symbols_to_bits(stego_symbols), slots)
+    slots = np.empty(slot_indices.size, _SLOT_DTYPE)  # records built in place, a column a write
+    slots["symbol_index"], slots["exact"], slots["weight"] = slot_indices, exact, weight
+    return DecodedStream(data_bits, symbols_to_bits(stego_symbols), slots.view(np.recarray))
 
 
 @dataclass(frozen=True)

@@ -455,14 +455,14 @@ def extract_diffs(
     mask), looked up in the read keys a block of words at a time.  A slot is exact
     iff its read word is a mask and its diff has no other chip: weight 5.
     """
-    span, read = _mask_table()[1], _read_keys()
+    place, read = 1 << _mask_table()[1], _read_keys()  # each span bit's place in a read word
     symbols = np.empty(len(diffs), dtype=np.uint8)
     exact = np.empty(len(diffs), dtype=bool)
     weight = np.bitwise_count(diffs)
     for start in range(0, len(diffs), BLOCK_WORDS):
         block = slice(start, start + BLOCK_WORDS)
-        bits = (diffs[block] >> perms[block, : len(span)].T) & 1  # (span, block)
-        keys = read.take((1 << span) @ bits)
+        bits = (diffs[block] >> perms[block, : len(place)].T) & 1  # (span, block)
+        keys = read.take(place @ bits)
         symbols[block] = keys & 0xF
         exact[block] = (keys < 16) & (weight[block] == PATTERN_WEIGHT)
     return symbols, exact, weight

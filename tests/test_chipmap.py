@@ -271,3 +271,49 @@ def test_a_noisy_chunk_leaves_later_chunks_guessed(monkeypatch):
     # each chunk is guessed alone: a chunk of uniform words does not send the clean rest to search
     words = noisy_then_clean(np.random.default_rng(4), 3 * GUESS_WORDS)
     assert searched_words(monkeypatch, words) <= GUESS_WORDS
+
+
+# -- checked inputs ---------------------------------------------------------------
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        np.array([-1]),  # used to despread as 1: its key wrapped to the last guess
+        np.array([1 << 32]),
+        np.array([1 << 40]),  # used to raise IndexError from the guess table
+        np.array([(1 << 64) - 1], dtype=np.uint64),
+        np.array([code_matrix()[3], -5], dtype=np.int64),
+        np.array([1.0]),
+        np.array([True]),
+    ],
+)
+def test_stream_words_must_be_32_bit_integers(bad):
+    with pytest.raises(ValueError, match="words must be integers"):
+        despread_stream(bad)
+
+
+def test_integer_words_despread_as_their_uint32():
+    rng = np.random.default_rng(7)
+    words = rng.integers(0, 1 << 32, 3000, dtype=np.uint32)
+    want = despread_stream(words)
+    for dtype in (np.int64, np.uint64, np.intp):
+        assert np.array_equal(despread_stream(words.astype(dtype)), want)
+    assert np.array_equal(despread_stream(words.tolist()), want)
+    small = np.arange(200, dtype=np.int8) & 0x7F
+    assert np.array_equal(despread_stream(small), despread_stream(small.astype(np.uint32)))
+    assert despread_stream(np.zeros(0, dtype=np.int64)).shape == (0,)
+
+
+def test_uint32_words_are_checked_without_a_copy():
+    words = code_matrix()[np.arange(16) % 16]
+    assert chipmap._as_words(words) is words
+
+
+@pytest.mark.parametrize("shape", [(2, 31), (1, 31), (33,), (64,), (3, 2, 16), (0,), ()])
+def test_pack_chips_needs_32_chips_a_word(shape):
+    # 31 columns used to pack across rows: (2, 31) gave 2 words of 62 chips, and
+    # (1, 31) of ones gave 0x7fffffff
+    with pytest.raises(ValueError, match="32 chips"):
+        pack_chips(np.ones(shape))
+    assert pack_chips(np.ones((2, 32))).tolist() == [0xFFFFFFFF, 0xFFFFFFFF]
+    assert pack_chips(np.ones((0, 32))).shape == (0,)

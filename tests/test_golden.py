@@ -10,7 +10,9 @@ checked against a scalar register stepped one bit at a time.
 """
 
 import hashlib
+import importlib.util
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -364,3 +366,14 @@ def test_schedule_mask_matches_scalar_oracle(rate, schedule_draws):
     key = StegoKey.from_hex(REF_KEY)
     want = [d / 65536.0 < rate for d in schedule_draws]
     assert dsss_stego.embedding_schedule(key, rate, len(want)).tolist() == want
+
+
+def test_pins_equal_the_benchmark_gates():
+    # the benchmark's gate keeps its own copy of PINS, read here without running it:
+    # the two copies must not drift apart
+    path = Path(__file__).resolve().parent.parent / "bench" / "gate.py"
+    spec = importlib.util.spec_from_file_location("bench_gate", path)
+    spec.loader.exec_module(gate := importlib.util.module_from_spec(spec))
+    assert sorted(gate.PINS) == sorted(PINS)
+    for name, digest in PINS.items():
+        assert gate.PINS[name] == digest, name

@@ -642,3 +642,69 @@ def test_simulations_name_the_config_over_capacity():
         run_simulation(over)
     with pytest.raises(CapacityError, match=re.escape(message)):
         run_simulations([_config(embed_rate=1.0), over])
+
+
+# -- decode_stream's fast paths ------------------------------------------------------
+
+@pytest.mark.parametrize(
+    "bad", [np.array([-1], dtype=np.int64), np.array([1 << 40]), np.array([0.0, 1.0])]
+)
+def test_decode_checks_its_words(bad):
+    # an int64 -1 used to decode data bits, and 2**40 raised IndexError from the guess table
+    with pytest.raises(ValueError, match="words must be integers"):
+        decode_stream(bad, KEY, 0.5)
+
+
+def test_decode_of_integer_words_equals_uint32():
+    rng = np.random.default_rng(8)
+    words = rng.integers(0, 1 << 32, 700, dtype=np.uint32)
+    want = decode_stream(words, KEY, 0.5)
+    for same in (words.astype(np.int64), words.tolist()):
+        got = decode_stream(same, KEY, 0.5)
+        assert np.array_equal(got.data_bits, want.data_bits)
+        assert np.array_equal(got.stego_bits, want.stego_bits)
+        assert got.slots.tobytes() == want.slots.tobytes()
+
+
+# a block extracts 4096 slots: none, one, a frame's worth, one short of a block, a block, one over
+@pytest.mark.parametrize("n", [0, 1, 253, 4095, 4096, 4097])
+def test_slot_records_equal_fromarrays(n):
+    rng = np.random.default_rng(n)
+    sent = encode_stream(random_bits(rng, 4 * n), random_bits(rng, 4 * n), KEY, 1.0)
+    # each chip flips with probability 1/8, so weights and exact flags vary
+    flips = np.bitwise_and.reduce(rng.integers(0, 1 << 32, (3, n), dtype=np.uint32))
+    words = sent ^ flips
+    decoded = decode_stream(words, KEY, 1.0)
+    index = np.arange(n)  # rate 1: every symbol is a slot
+    diffs = words ^ code_matrix()[despread_stream(words)]
+    _, exact, weight = stego.extract_diffs(diffs, stego.slot_permutations(KEY, index))
+    want = np.rec.fromarrays(
+        (index, exact, weight),
+        dtype=[("symbol_index", np.intp), ("exact", bool), ("weight", np.uint8)],
+    )
+    assert isinstance(decoded.slots, np.recarray)
+    assert decoded.slots.dtype == want.dtype
+    assert decoded.slots.tobytes() == want.tobytes()
+    records = list(decoded.slots)  # as the benchmark's tracer reads them
+    assert [(r.symbol_index, r.exact, r.weight) for r in records] == list(
+        zip(index.tolist(), exact.tolist(), weight.tolist())
+    )
+    assert n < 253 or len(set(weight.tolist())) > 1 and 0 < exact.sum() < n
+
+
+@pytest.mark.parametrize(
+    "dtype", [np.uint8, np.int8, np.int16, np.int32, np.int64, np.uint64]
+)
+def test_symbols_to_bits_equals_the_row_take(dtype):
+    rows = np.unpackbits(np.arange(16, dtype=np.uint8)[:, None], axis=1)[:, 4:]
+    symbols = np.arange(16, dtype=dtype)
+    for order in (symbols, symbols[::-1], np.repeat(symbols, 3)):
+        got = symbols_to_bits(order)
+        assert got.dtype == np.uint8
+        assert np.array_equal(got, rows.take(order, axis=0).reshape(-1))
+    assert symbols_to_bits(np.zeros(0, dtype=dtype)).shape == (0,)
+    with pytest.raises(IndexError):
+        symbols_to_bits(np.array([16], dtype=dtype))
+    if np.dtype(dtype).kind == "i":
+        with pytest.raises(IndexError):
+            symbols_to_bits(np.array([-1], dtype=dtype))
