@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chipmap import BLOCK_WORDS, CHIPS_PER_SYMBOL, ChipSequence, pack_chips
+from .chipmap import BLOCK_WORDS, CHIPS_PER_SYMBOL, ChipSequence, _as_words, pack_chips
 
 # Recorded in every report so results can be reproduced bit for bit.
 GENERATOR_ID = "numpy-pcg64"
@@ -76,6 +76,7 @@ def transmit_stream(
     doubles (1 MiB) in all.  A stream under two blocks, a single core or
     another bit generator takes one thread: this one, in stream order.
     """
+    words = _as_words(words)
     if params.p_chip == 0.0:
         return words.copy(), 0
     jumpable = type(rng.bit_generator) is np.random.PCG64

@@ -176,8 +176,10 @@ def nearest_table(table: np.ndarray, bits: int) -> np.ndarray:
 
 
 def _as_words(words) -> np.ndarray:
-    """The words as uint32, checked before they are narrowed: integers in [0, 2**32)."""
-    if (words := np.asarray(words)).dtype == np.uint32:  # no pass over them, no copy
+    """The words as uint32, checked before they are narrowed: 1-D, integers in [0, 2**32)."""
+    if (words := np.asarray(words)).ndim != 1:
+        raise ValueError(f"words must be a 1-D array, got shape {words.shape}")
+    if words.dtype == np.uint32:  # no pass over them, no copy
         return words
     if words.dtype.kind not in "iu" or words.size and (words.min() < 0 or words.max() >= 1 << 32):
         raise ValueError(f"words must be integers in [0, 2**32), got {words.dtype} {words!r:.80}")

@@ -184,12 +184,8 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_encode(args) -> int:
     data_bits = np.unpackbits(np.frombuffer(Path(args.data).read_bytes(), dtype=np.uint8))
-    if args.stego is not None:
-        stego_bits = np.unpackbits(
-            np.frombuffer(Path(args.stego).read_bytes(), dtype=np.uint8)
-        )
-    else:
-        stego_bits = np.zeros(0, dtype=np.uint8)
+    stego = b"" if args.stego is None else Path(args.stego).read_bytes()
+    stego_bits = np.unpackbits(np.frombuffer(stego, dtype=np.uint8))
     words = encode_stream(data_bits, stego_bits, args.key, args.embed_rate)
     write_chip_stream(args.out, words)
     return 0

@@ -115,8 +115,6 @@ def encode_stream(
     if rows.size == 0:
         return words
     stego_symbols = bits_to_symbols(stego_bits)
-    if slot_perms is not None and len(slot_perms) < rows.size:
-        raise ValueError(f"perms has {len(slot_perms)} rows, the payload needs {rows.size}")
     row_perms = slot_permutations(key, rows) if slot_perms is None else slot_perms[: rows.size]
     words[rows] = embed_words(words[rows], stego_symbols, row_perms)
     return words
@@ -139,8 +137,6 @@ def decode_stream(
         slot_indices = np.nonzero(embedding_schedule(key, embed_rate, len(words)))[0]
         perms = slot_indices, slot_permutations(key, slot_indices)
     slot_indices, slot_perms = perms
-    if len(slot_perms) != slot_indices.size:
-        raise ValueError(f"perms has {len(slot_perms)} rows for {slot_indices.size} slots")
     diffs = words.take(slot_indices) ^ code_matrix().take(decoded_symbols.take(slot_indices))
     stego_symbols, exact, weight = extract_diffs(diffs, slot_perms)
     slots = np.empty(slot_indices.size, _SLOT_DTYPE)  # records built in place, a column a write

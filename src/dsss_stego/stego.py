@@ -16,10 +16,10 @@ This module owns both keyed streams that sender and receiver share: the
 embedding schedule, which picks the symbols that carry covert load, and
 the per-symbol Fisher-Yates shuffles of the 32 chip positions.
 
-The keystream is made in bulk as bytes, bit-exact with stepping the
-registers one bit at a time: a register is linear over GF(2), so each
-2^14-bit span of its stream is an XOR of rows of a key-independent table
-(``_basis``), and its state, the next 32 bits, continues it exactly.  The
+The keystream is made in bulk, bit-exact with stepping the registers one
+bit at a time: a register is linear over GF(2), so each 2^14-bit span of
+its stream and the state after it are one int, an XOR of rows of a
+key-independent table (``_basis``); the two registers' ints are XORed.  The
 rejection walk of the Fisher-Yates draws accepts or rejects a draw on how
 its bits compare with the bound's own, so it is a 247-state automaton, and
 it steps once a stream byte (``_automaton``).  Its states and a (state, byte)
@@ -34,7 +34,8 @@ import functools
 import operator
 import re
 from dataclasses import dataclass
-from typing import NamedTuple
+from itertools import compress
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -55,7 +56,8 @@ MIN_PATTERN_SEPARATION = 6  # symmetric-difference floor between patterns
 # streams stay apart.
 PRIMARY_TAPS = (32, 22, 2, 1)
 SECONDARY_TAPS = (32, 30, 26, 25)
-_SPAN = 1 << 14  # stream bits made per XOR of basis rows (_stream_bytes)
+_SPAN = 1 << 14  # stream bits made per XOR of basis rows (_spans)
+_DIGITS = bytes.maketrans(b"01", b"\0\1")  # a binary digit's character to its value
 
 
 class InvalidCarrierError(ValueError):
@@ -180,29 +182,33 @@ def _basis(taps: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(row & ((1 << (32 + _SPAN)) - 1) for row in reversed(rows))
 
 
-def _stream_bytes(seed: int, taps: tuple[int, ...], size: int) -> bytes:
-    """First `size` bytes of the stream of a register seeded with `seed`, 8 bits a byte, LSB first.
+def _spans(seed: int, taps: tuple[int, ...], size: int) -> list[int]:
+    """A register's stream from `seed`, `size` bytes at least, as ints of _SPAN + 32 bits: int k
+    holds stream bits k * _SPAN onwards, bit n at bit n, so it ends with the state int k + 1 starts.
 
-    The 32-bit register shifts right, outputs its low bit and feeds back the
-    parity of the tapped bits, so the stream x starts with the seed bits,
-    LSB first, and x[n + 32] = XOR of x[n + m] for m = 32 - t over the taps.
-    Its state at stream position p is x[p:p + 32].  The register is linear
-    over GF(2), so the XOR of the `_basis` rows of a state's set bits is the
-    next _SPAN bits and, after them, the state the next span starts from.
+    The 32-bit register shifts right, outputs its low bit and feeds back the parity of the tapped
+    bits, so the stream x starts with the seed bits, LSB first, and x[n + 32] = XOR of x[n + m]
+    for m = 32 - t over the taps; its state at stream position p is x[p:p + 32].  It is linear
+    over GF(2): the XOR of the `_basis` rows of a state's set bits is the next _SPAN + 32 bits.
     """
     if not 0 < seed < 1 << 32:
         raise ValueError(f"LFSR seed must be a nonzero 32-bit value, got {seed}")
     rows, spans, state = _basis(tuple(taps)), [], seed
-    for start in range(0, size, _SPAN // 8):
-        acc = functools.reduce(operator.xor, [row for k, row in enumerate(rows) if state >> k & 1])
-        spans.append(acc.to_bytes(4 + _SPAN // 8, "little")[: min(_SPAN // 8, size - start)])
-        state = acc >> _SPAN
-    return b"".join(spans)
+    for _ in range(0, size, _SPAN // 8):
+        digits = bin(state)[:1:-1].encode().translate(_DIGITS)  # byte k is bit k of the state
+        spans.append(functools.reduce(operator.xor, compress(rows, digits)))
+        state = spans[-1] >> _SPAN
+    return spans
 
 
-def _state_at(stream: bytes, pos: int) -> int:
-    """The register state at stream position `pos`: the next 32 bits, LSB first."""
-    return int.from_bytes(stream[pos >> 3 : (pos >> 3) + 5], "little") >> (pos & 7) & 0xFFFFFFFF
+def _span_bytes(spans: Iterable[int]) -> bytes:
+    """The spans' stream bits as bytes, 8 bits a byte, LSB first."""
+    return b"".join([span.to_bytes(4 + _SPAN // 8, "little")[: _SPAN // 8] for span in spans])
+
+
+def _stream_bytes(seed: int, taps: tuple[int, ...], size: int) -> bytes:
+    """The first `size` bytes of a register's stream (`_spans`), 8 bits a byte, LSB first."""
+    return _span_bytes(_spans(seed, taps, size))[:size]
 
 
 # Fisher-Yates swap i = 31..1 draws j <= i from the next w = i.bit_length() stream
@@ -291,7 +297,7 @@ def _draws(stream: bytes, ends: np.ndarray) -> np.ndarray:
     words[q] holds bits 8q..8q+15, so a draw's last bit e is bit 11 - (e - 4) % 8
     of words[(e - 4) // 8]: every draw ends at bit 4 or later, and spans 5 bits at most.
     """
-    words = np.ndarray(len(stream) - 1, ">u2", stream, strides=(1,))
+    words = np.ndarray(len(stream) - 1, ">u2", stream, strides=(1,)).astype(np.uint16)  # native
     first = ends - 4
     return (words[first >> 3] >> (11 - (first & 7)) & _WIDTH_MASKS).astype(np.uint8)
 
@@ -333,11 +339,9 @@ def permutation_stream(state_a: int, state_b: int, rows: np.ndarray) -> tuple[np
     count = int(rows[-1]) + 1 if len(rows) else 0
     while done < count:
         todo = min(count - done, BLOCK_WORDS)
-        size = (todo * (_MEAN_BITS + 2) + slack) // 8  # bytes walked; 4 more hold the states after
-        a = _stream_bytes(state_a, PRIMARY_TAPS, size + 4)
-        b = _stream_bytes(state_b, SECONDARY_TAPS, size + 4)
-        keystream = np.frombuffer(a, np.uint8) ^ np.frombuffer(b, np.uint8)
-        stream = keystream.tobytes().translate(REVERSED_BITS)  # each byte read MSB first
+        size = (todo * (_MEAN_BITS + 2) + slack) // 8  # bytes walked; _draws reads 1 more
+        a, b = _spans(state_a, PRIMARY_TAPS, size + 1), _spans(state_b, SECONDARY_TAPS, size + 1)
+        stream = _span_bytes(map(operator.xor, a, b)).translate(REVERSED_BITS)  # read MSB first
         walked, pos, ends = _walk(stream[:size], todo)
         slack *= 1 if walked == todo else 2
         end = int(np.searchsorted(rows, done + walked))
@@ -345,7 +349,7 @@ def permutation_stream(state_a: int, state_b: int, rows: np.ndarray) -> tuple[np
             chunk = rows[at : min(at + _ROW_CHUNK, end)] - done
             out[at : at + len(chunk)] = _shuffle(_draws(stream, ends[chunk]))
         kept, done = end, done + walked
-        state_a, state_b = _state_at(a, pos), _state_at(b, pos)
+        state_a, state_b = (x[pos // _SPAN] >> pos % _SPAN & 0xFFFFFFFF for x in (a, b))
     return out, state_a, state_b
 
 
@@ -435,6 +439,8 @@ def embed_words(words: np.ndarray, stego_symbols: np.ndarray, perms: np.ndarray)
     columns are read on their (span, block) transpose, a block of words at a time.
     """
     masks, span = _mask_table()
+    if perms.shape != (len(words), CHIPS_PER_SYMBOL):
+        raise ValueError(f"perms must be ({len(words)}, 32), a row a word, got {perms.shape}")
     out = np.empty_like(words)
     for start in range(0, len(words), BLOCK_WORDS):
         block = slice(start, start + BLOCK_WORDS)
@@ -456,6 +462,8 @@ def extract_diffs(
     iff its read word is a mask and its diff has no other chip: weight 5.
     """
     place, read = 1 << _mask_table()[1], _read_keys()  # each span bit's place in a read word
+    if perms.shape != (len(diffs), CHIPS_PER_SYMBOL):
+        raise ValueError(f"perms must be ({len(diffs)}, 32), a row a word, got {perms.shape}")
     symbols = np.empty(len(diffs), dtype=np.uint8)
     exact = np.empty(len(diffs), dtype=bool)
     weight = np.bitwise_count(diffs)

@@ -96,3 +96,23 @@ def test_transmit_preserves_shape_and_type():
     assert out.dtype == np.uint32
     assert flips == int(np.bitwise_count(out).sum())
     assert isinstance(transmit(map_symbol(0), ChannelParams(0.2), make_rng(3)), ChipSequence)
+
+
+@pytest.mark.parametrize("p_chip", [0.1, 0.0])
+def test_transmit_needs_a_one_dimensional_stream(p_chip):
+    # a (4, 4) stream used to draw flips for 4 words and XOR them across all 16 by broadcasting
+    words = np.arange(16, dtype=np.uint32).reshape(4, 4)
+    with pytest.raises(ValueError, match="words must be a 1-D array"):
+        transmit_stream(words, ChannelParams(p_chip), make_rng(1))
+    with pytest.raises(ValueError, match="words must be integers"):
+        transmit_stream(np.array([-1, 3]), ChannelParams(p_chip), make_rng(1))
+
+
+@pytest.mark.parametrize("p_chip", [0.1, 0.0])
+def test_transmit_narrows_integer_words_to_uint32(p_chip):
+    # int64 words used to come back as int64
+    words = np.random.default_rng(5).integers(0, 1 << 32, 5000, dtype=np.uint32)
+    want, want_flips = transmit_stream(words, ChannelParams(p_chip), make_rng(2))
+    for same in (words.astype(np.int64), words.tolist()):
+        out, flips = transmit_stream(same, ChannelParams(p_chip), make_rng(2))
+        assert out.dtype == np.uint32 and np.array_equal(out, want) and flips == want_flips

@@ -304,6 +304,17 @@ def test_integer_words_despread_as_their_uint32():
     assert despread_stream(np.zeros(0, dtype=np.int64)).shape == (0,)
 
 
+@pytest.mark.parametrize("shape", [(4, 4), (1, 16), (16, 1), ()])
+@pytest.mark.parametrize("dtype", [np.uint32, np.int64])
+def test_stream_words_must_be_one_dimensional(shape, dtype):
+    # a 2-D array used to fail inside numpy's take, and a 0-D one raised TypeError from len()
+    words = np.resize(code_matrix(), shape).astype(dtype)
+    with pytest.raises(ValueError, match="words must be a 1-D array"):
+        despread_stream(words)
+    with pytest.raises(ValueError, match="words must be a 1-D array"):
+        chipmap._as_words(words)
+
+
 def test_uint32_words_are_checked_without_a_copy():
     words = code_matrix()[np.arange(16) % 16]
     assert chipmap._as_words(words) is words

@@ -286,7 +286,7 @@ def test_encoder_rejects_perms_short_of_the_payload():
     data = random_bits(np.random.default_rng(8), 400)  # 100 symbols, all slots at rate 1
     slots = np.arange(100)
     perms = (slots, pipeline.slot_permutations(KEY, slots)[:2])
-    with pytest.raises(ValueError, match=r"perms has 2 rows, the payload needs 3"):
+    with pytest.raises(ValueError, match=r"perms must be \(3, 32\), a row a word, got \(2, 32\)"):
         encode_stream(data, np.ones(12, dtype=np.uint8), KEY, 1.0, perms=perms)
 
 
@@ -295,7 +295,7 @@ def test_decoder_rejects_perms_of_another_slot_count():
     words = encode_stream(random_bits(np.random.default_rng(9), 400), np.zeros(0), KEY, 1.0)
     slots = np.arange(100)
     perms = (slots, pipeline.slot_permutations(KEY, slots)[:1])
-    with pytest.raises(ValueError, match=r"perms has 1 rows for 100 slots"):
+    with pytest.raises(ValueError, match=r"perms must be \(100, 32\), a row a word, got \(1, 32\)"):
         decode_stream(words, KEY, 1.0, perms=perms)
 
 
@@ -653,6 +653,13 @@ def test_decode_checks_its_words(bad):
     # an int64 -1 used to decode data bits, and 2**40 raised IndexError from the guess table
     with pytest.raises(ValueError, match="words must be integers"):
         decode_stream(bad, KEY, 0.5)
+
+
+@pytest.mark.parametrize("shape", [(25, 4), ()])
+def test_decode_needs_a_one_dimensional_stream(shape):
+    words = np.resize(encode_stream(np.zeros(400, np.uint8), np.zeros(0), KEY, 0.5), shape)
+    with pytest.raises(ValueError, match="words must be a 1-D array"):
+        decode_stream(words, KEY, 0.5)
 
 
 def test_decode_of_integer_words_equals_uint32():

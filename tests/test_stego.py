@@ -20,6 +20,7 @@ from dsss_stego import stego
 from dsss_stego.channel import ChannelParams, make_rng, transmit_stream
 from dsss_stego.chipmap import (
     ChipSequence,
+    code_matrix,
     decode_chips,
     hamming,
     map_symbol,
@@ -197,6 +198,21 @@ def test_register_bits_exact_at_span_edges(seed, taps):
 
 
 @pytest.mark.parametrize("taps", [PRIMARY_TAPS, SECONDARY_TAPS])
+@pytest.mark.parametrize("seed", [0x1, 0xACE1531E, 0xFFFFFFFF])
+def test_register_state_read_from_the_span_ints(seed, taps):
+    # permutation_stream reads the states a stretch ends at as span[pos // _SPAN] >> pos % _SPAN:
+    # int k holds 32 bits past its span, so a state that straddles two spans is read from one
+    positions = (0, _SPAN - 32, _SPAN - 1, _SPAN, 3 * _SPAN + 5)
+    spans = stego._spans(seed, taps, (max(positions) + 32) // 8)
+    assert len(spans) == 4 and all(span < 1 << (_SPAN + 32) for span in spans)
+    want = oracle_bits(seed, taps, max(positions) + 32)
+    for pos in positions:
+        state = spans[pos // _SPAN] >> pos % _SPAN & 0xFFFFFFFF
+        assert state == sum(bit << k for k, bit in enumerate(want[pos : pos + 32])), pos
+    assert spans[0] & 0xFFFFFFFF == seed  # position 0: the seed itself
+
+
+@pytest.mark.parametrize("taps", [PRIMARY_TAPS, SECONDARY_TAPS])
 def test_basis_rows_are_one_hot_streams(taps):
     rows = _basis(taps)
     assert len(rows) == 32
@@ -240,19 +256,19 @@ def test_stretch_too_short_for_one_permutation_grows(monkeypatch):
     want, *want_states = permutation_stream(*states, np.arange(5))
     monkeypatch.setattr(stego, "BLOCK_WORDS", 1)
     monkeypatch.setattr(stego, "_MEAN_BITS", -400)
-    stream_bytes, walk, streams, walked = stego._stream_bytes, stego._walk, [], []
+    spans, walk, streams, walked = stego._spans, stego._walk, [], []
 
-    def counted_stream_bytes(*args):
+    def counted_spans(*args):
         streams.append(args)
         assert len(streams) < 100, "the stretch never grows"
-        return stream_bytes(*args)
+        return spans(*args)
 
     def recorded_walk(*args):
         result = walk(*args)
         walked.append(result[0])
         return result
 
-    monkeypatch.setattr(stego, "_stream_bytes", counted_stream_bytes)
+    monkeypatch.setattr(stego, "_spans", counted_spans)
     monkeypatch.setattr(stego, "_walk", recorded_walk)
     got, *got_states = permutation_stream(*states, np.arange(5))
     assert walked[0] == 0
@@ -266,14 +282,14 @@ def test_short_first_stretch_makes_few_streams(monkeypatch):
     want = permutation_stream(*states, np.arange(5))
     monkeypatch.setattr(stego, "BLOCK_WORDS", 1)
     monkeypatch.setattr(stego, "_MEAN_BITS", -400)
-    stream_bytes, made = stego._stream_bytes, []
+    spans, made = stego._spans, []
 
     def counted(*args):
         made.append(args)
         assert len(made) < 40, "the stretch never grows"
-        return stream_bytes(*args)
+        return spans(*args)
 
-    monkeypatch.setattr(stego, "_stream_bytes", counted)
+    monkeypatch.setattr(stego, "_spans", counted)
     got = permutation_stream(*states, np.arange(5))
     assert np.array_equal(got[0], want[0]) and got[1:] == want[1:]
 
@@ -294,6 +310,23 @@ def test_permutation_stream_repeats_duplicate_rows():
     whole, *after = permutation_stream(*states, np.arange(10))
     got, *got_after = permutation_stream(*states, rows)
     assert np.array_equal(got, whole[rows]) and got_after == after
+
+
+@pytest.mark.parametrize("short", [False, True], ids=["stretches", "short-stretches"])
+def test_continuing_from_the_returned_states_equals_one_call(monkeypatch, short):
+    # the states after 1, 4095, 4096 and 4097 rows: inside, at and past a whole stretch of
+    # BLOCK_WORDS permutations; the short stretches are the forced ones of the tests above
+    states = stego.key_registers(StegoKey.from_hex("ACE1"))
+    total = 4100
+    if short:
+        monkeypatch.setattr(stego, "BLOCK_WORDS", 1)
+        monkeypatch.setattr(stego, "_MEAN_BITS", -400)
+    whole, *after = permutation_stream(*states, np.arange(total))
+    for first in (1, 4095, 4096, 4097):
+        head, *middle = permutation_stream(*states, np.arange(first))
+        tail, *end = permutation_stream(*middle, np.arange(total - first))
+        assert np.array_equal(np.concatenate((head, tail)), whole), first
+        assert end == after, first
 
 
 # -- the rejection walk as an automaton ---------------------------------------
@@ -361,6 +394,27 @@ def test_automaton_walk_equals_reference_walk(stream, count):
     widths = np.array([width for _, width in REFERENCE_DRAWS], np.uint8)
     draws = np.frombuffer(want[2], np.uint8).reshape(done, len(REFERENCE_DRAWS)) >> (5 - widths)
     assert np.array_equal(stego._draws(stream + b"\0", ends), draws)
+
+
+def oracle_draws(stream: bytes, ends: np.ndarray) -> list[list[int]]:
+    """Each draw read bit by bit, MSB first: the w bits that end at its end, w its swap's width."""
+    bits = "".join(f"{b:08b}" for b in stream)
+    widths = [i.bit_length() for i in range(31, 0, -1)]
+    return [[int(bits[e - w + 1 : e + 1], 2) for e, w in zip(row, widths)] for row in ends.tolist()]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_draws_equal_reading_the_bits_one_at_a_time(seed):
+    # random streams and ends; every draw ends at bit 4 or later, and the stream holds a byte
+    # past the last end's, as permutation_stream's does
+    rng = np.random.default_rng(seed)
+    stream = rng.bytes(int(rng.integers(3, 300)))
+    last = 8 * len(stream) - 9  # the last end: its 16-bit window is the last two bytes
+    ends = rng.integers(4, last + 1, size=(int(rng.integers(2, 40)), 31), dtype=np.int32)
+    ends[0, :2] = (4, last)  # 5-bit draws: the first end and the last
+    ends[1, :2] = (8 * rng.integers(1, len(stream) - 1) + 1, 7)  # over a byte edge, inside one
+    assert np.array_equal(stego._draws(stream, ends), oracle_draws(stream, ends))
+    assert stego._draws(stream, ends).dtype == np.uint8
 
 
 def test_automaton_tables():
@@ -627,6 +681,20 @@ def test_encoding_leaves_the_read_keys_unbuilt():
     assert stego._read_keys.cache_info().currsize == 0
     assert np.array_equal(decode_stream(words, key, 1.0).stego_bits, fixed_bits("stego", 400))
     assert stego._read_keys.cache_info().currsize == 1
+
+
+@pytest.mark.parametrize("rows, columns", [(1, 32), (3, 32), (2, 5), (2, 31)])
+def test_embed_and_extract_need_one_32_chip_permutation_a_word(rows, columns):
+    # one row used to broadcast over both words, and (n, 5) gave a bare broadcast error
+    perms = slot_permutations(StegoKey.from_hex("ACE1"), np.arange(3))
+    bad = np.ascontiguousarray(np.resize(perms, (rows, 32))[:, :columns])
+    words, symbols = code_matrix()[[3, 9]], np.array([4, 11])
+    with pytest.raises(ValueError, match=r"perms must be \(2, 32\)"):
+        embed_words(words, symbols, bad)
+    with pytest.raises(ValueError, match=r"perms must be \(2, 32\)"):
+        stego.extract_diffs(np.array([0x1F, 0x3E0], np.uint32), bad)
+    embedded = embed_words(words, symbols, perms[:2])
+    assert stego.extract_diffs(embedded ^ words, perms[:2])[0].tolist() == [4, 11]
 
 
 # The covert symbols and slot records of a rate-1 stream of 20 000 symbols after a -2 dB
